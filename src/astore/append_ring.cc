@@ -9,7 +9,12 @@ namespace vedb::astore {
 AppendRing::AppendRing(AStoreClient* client, const AppendRingOptions& options)
     : client_(client),
       options_(options),
-      cond_(client->env()->clock(), "astore.append_ring") {}
+      cond_(client->env()->clock(), "astore.append_ring") {
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  doorbells_ = reg.GetCounter("ring.doorbells");
+  doorbell_batch_ = reg.GetHistogram("ring.doorbell_batch");
+  coalesced_appends_ = reg.GetCounter("astore.client.coalesced_appends");
+}
 
 Result<AppendRing::Token> AppendRing::Submit(SegmentHandlePtr handle,
                                              std::vector<RecordPiece> pieces,
@@ -95,7 +100,18 @@ Status AppendRing::Wait(Token token) {
       std::vector<const std::vector<RecordPiece>*> records;
       records.reserve(j - i);
       for (size_t k = i; k < j; ++k) records.push_back(&batch[k].pieces);
-      const Status s = client_->WriteRecordGroup(batch[i].handle, records);
+      // Batched SDK cost: per-record WR assembly plus ONE doorbell/CQ reap
+      // for the whole group, instead of one write_sdk_overhead per record.
+      const Duration sdk_cost =
+          options_.submit_overhead * static_cast<Duration>(records.size()) +
+          options_.completion_overhead;
+      const Status s = client_->WriteRecords(batch[i].handle, records,
+                                             sdk_cost, "append_group");
+      if (s.ok()) {
+        doorbells_->Add(1);
+        doorbell_batch_->Observe(records.size());
+        if (records.size() > 1) coalesced_appends_->Add(records.size());
+      }
       for (size_t k = i; k < j; ++k) {
         results.emplace_back(batch[k].seq, s);
         tickets.push_back(std::move(batch[k].ticket));

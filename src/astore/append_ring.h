@@ -23,8 +23,13 @@
 // Coalescing is safe under the PersistChecker's ack-ordering rule because
 // the per-doorbell flush READ is ordered after every record WR in the
 // chain: no token resolves OK before its record's bytes are in the
-// persistence domain on every replica (WriteRecordGroup re-verifies via
-// VerifyPersisted before returning).
+// persistence domain on every replica (AStoreClient::WriteRecords
+// re-verifies via VerifyPersisted before returning).
+//
+// The ring owns its batching: the flush leader charges each group
+// `submit_overhead` per record plus one `completion_overhead`, and counts
+// ring.doorbells, ring.doorbell_batch and astore.client.coalesced_appends
+// for every group that posts successfully.
 
 #ifndef VEDB_ASTORE_APPEND_RING_H_
 #define VEDB_ASTORE_APPEND_RING_H_
@@ -41,6 +46,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/units.h"
+#include "obs/metrics.h"
 #include "qos/admission.h"
 #include "sim/clock.h"
 
@@ -128,6 +134,10 @@ class AppendRing {
   uint64_t pending_bytes_ GUARDED_BY(mu_) = 0;
   bool flushing_ GUARDED_BY(mu_) = false;
   std::map<Token, Status> done_ GUARDED_BY(mu_);
+
+  obs::Counter* doorbells_ = nullptr;
+  obs::HistogramMetric* doorbell_batch_ = nullptr;
+  obs::Counter* coalesced_appends_ = nullptr;
 };
 
 }  // namespace vedb::astore

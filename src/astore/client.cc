@@ -49,9 +49,6 @@ AStoreClient::AStoreClient(sim::SimEnvironment* env, net::RpcTransport* rpc,
   cm_failovers_ = reg.GetCounter("astore.client.cm_failovers");
   corrupt_reads_ = reg.GetCounter("astore.client.corrupt_reads");
   read_repairs_ = reg.GetCounter("astore.repair.read_repairs");
-  ring_doorbells_ = reg.GetCounter("ring.doorbells");
-  doorbell_batch_ = reg.GetHistogram("ring.doorbell_batch");
-  coalesced_appends_ = reg.GetCounter("astore.client.coalesced_appends");
   append_ring_ =
       std::make_unique<AppendRing>(this, options_.append_ring);
 }
@@ -222,6 +219,29 @@ Result<SegmentHandlePtr> AStoreClient::OpenSegment(SegmentId id) {
   return handle;
 }
 
+Status AStoreClient::ReserveCursor(const SegmentHandlePtr& handle,
+                                   uint64_t size, uint64_t* offset) {
+  // Reserve under a short lock; the RDMA fan-out happens outside it so
+  // concurrent appends overlap in virtual time.
+  vedb::MutexLock lk(&handle->mu_);
+  if (handle->stale_) return Status::Stale("segment route is stale");
+  if (handle->frozen_) return Status::Unavailable("segment frozen");
+  // A record bigger than the whole segment is a caller bug, not a capacity
+  // condition: NoSpace tells callers "open a fresh segment and retry",
+  // which would loop forever on an impossible payload.
+  if (size > handle->route_.size) {
+    return Status::InvalidArgument("record larger than the segment");
+  }
+  // Subtraction form: `write_offset_ + size` wraps for sizes near
+  // UINT64_MAX and would bypass the capacity check.
+  if (handle->write_offset_ > handle->route_.size - size) {
+    return Status::NoSpace("segment full");
+  }
+  *offset = handle->write_offset_;
+  handle->write_offset_ += size;
+  return Status::OK();
+}
+
 Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
                             uint64_t* offset_out) {
   // QoS admission happens strictly before any handle lock (see the
@@ -232,28 +252,11 @@ Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
     VEDB_ASSIGN_OR_RETURN(
         ticket, options_.admission->Admit(options_.tenant, data.size()));
   }
-  uint64_t offset;
-  {
-    // Reserve the cursor under a short lock; the RDMA fan-out happens
-    // outside it so concurrent appends overlap in virtual time.
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-    // A record bigger than the whole segment is a caller bug, not a
-    // capacity condition: NoSpace tells callers "open a fresh segment and
-    // retry", which would loop forever on an impossible payload.
-    if (data.size() > handle->route_.size) {
-      return Status::InvalidArgument("record larger than the segment");
-    }
-    // Subtraction form: `write_offset_ + data.size()` wraps for sizes near
-    // UINT64_MAX and would bypass the capacity check.
-    if (handle->write_offset_ > handle->route_.size - data.size()) {
-      return Status::NoSpace("segment full");
-    }
-    offset = handle->write_offset_;
-    handle->write_offset_ += data.size();
-  }
-  Status s = WriteWithRecovery(handle, offset, data, "append");
+  uint64_t offset = 0;
+  VEDB_RETURN_IF_ERROR(ReserveCursor(handle, data.size(), &offset));
+  const std::vector<RecordPiece> record{{offset, data}};
+  Status s = WriteRecords(handle, {&record}, options_.write_sdk_overhead,
+                          "append");
   if (s.ok() && offset_out != nullptr) *offset_out = offset;
   return s;
 }
@@ -267,187 +270,14 @@ Result<AStoreClient::AppendToken> AStoreClient::AppendAsync(
     VEDB_ASSIGN_OR_RETURN(
         ticket, options_.admission->Admit(options_.tenant, data.size()));
   }
-  uint64_t offset;
-  {
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-    if (data.size() > handle->route_.size) {
-      return Status::InvalidArgument("record larger than the segment");
-    }
-    if (handle->write_offset_ > handle->route_.size - data.size()) {
-      return Status::NoSpace("segment full");
-    }
-    offset = handle->write_offset_;
-    handle->write_offset_ += data.size();
-  }
+  uint64_t offset = 0;
+  VEDB_RETURN_IF_ERROR(ReserveCursor(handle, data.size(), &offset));
   if (offset_out != nullptr) *offset_out = offset;
-  std::vector<RecordPiece> pieces(1);
-  pieces[0].offset = offset;
-  pieces[0].data = data;
-  return append_ring_->Submit(handle, std::move(pieces), std::move(ticket));
+  return append_ring_->Submit(handle, {{offset, data}}, std::move(ticket));
 }
 
 Status AStoreClient::WaitAppend(AppendToken token) {
   return append_ring_->Wait(token);
-}
-
-Status AStoreClient::WriteRecordGroup(
-    const SegmentHandlePtr& handle,
-    const std::vector<const std::vector<RecordPiece>*>& records) {
-  {
-    vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
-  }
-  Status s = PostRecordGroup(handle, records);
-  const RetryPolicy& rp = options_.retry;
-  if (s.ok() || !rp.enabled) return s;
-  // Same recovery protocol as WriteWithRecovery: the failed group's poster
-  // owns repair — refresh the route, re-post the identical bytes at the
-  // identical offsets (bypassing the frozen gate), un-freeze on success.
-  const Timestamp deadline =
-      rp.op_deadline == 0 ? 0 : env_->clock()->Now() + rp.op_deadline;
-  for (int attempt = 1; attempt < rp.max_attempts; ++attempt) {
-    if (!Retriable(s)) return s;
-    if (handle->stale()) return s;
-    const Timestamp now = env_->clock()->Now();
-    if (deadline != 0 && now >= deadline) return s;
-    CountRetry("append_group", s);
-    Timestamp wake = now + BackoffDelay(attempt);
-    if (deadline != 0 && wake > deadline) wake = deadline;
-    env_->clock()->SleepUntil(wake);
-    // discard-ok: an unreachable CM keeps the cached route; retry proceeds.
-    (void)RefreshRoute(handle);
-    if (handle->stale()) return Status::Stale("segment route is stale");
-    s = PostRecordGroup(handle, records);
-    if (s.ok()) {
-      vedb::MutexLock lk(&handle->mu_);
-      if (handle->frozen_ && !handle->stale_) {
-        handle->frozen_ = false;
-        unfreezes_->Add(1);
-      }
-    }
-  }
-  return s;
-}
-
-Status AStoreClient::PostRecordGroup(
-    const SegmentHandlePtr& handle,
-    const std::vector<const std::vector<RecordPiece>*>& records) {
-  if (options_.enforce_lease && !LeaseValid()) {
-    return Status::LeaseExpired("client lease expired");
-  }
-  Status injected = env_->faults()->MaybeFail("astore.client.write");
-  if (!injected.ok()) {
-    vedb::MutexLock lk(&handle->mu_);
-    handle->frozen_ = true;
-    handle->frozen_epoch_ = handle->route_.epoch;
-    return injected;
-  }
-
-  const Timestamp t0 = env_->clock()->Now();
-  obs::SpanScope span(obs::Tracer::Global(), "astore.client.write");
-  span.AddTag("segment", std::to_string(handle->id()));
-  span.AddTag("batch", std::to_string(records.size()));
-
-  // Batched SDK cost: per-record WR assembly plus ONE doorbell/CQ reap for
-  // the whole group — this replaces N copies of write_sdk_overhead, which
-  // is where the Table-2 client_ns share collapses.
-  client_node_->cpu()->Access(
-      0, options_.append_ring.submit_overhead *
-                 static_cast<Duration>(records.size()) +
-             options_.append_ring.completion_overhead);
-  const Timestamp sdk_done = env_->clock()->Now();
-
-  SegmentRoute route = handle->route();
-
-  // One io-meta covering the group's full extent: after a failure the
-  // effective length discovery only needs the furthest persisted byte.
-  uint64_t lo = UINT64_MAX;
-  uint64_t hi = 0;
-  uint64_t bytes = 0;
-  for (const auto* rec : records) {
-    for (const RecordPiece& p : *rec) {
-      lo = std::min(lo, p.offset);
-      hi = std::max(hi, p.offset + p.data.size());
-      bytes += p.data.size();
-    }
-  }
-  std::string io_meta;
-  PutFixed64(&io_meta, lo);
-  PutFixed64(&io_meta, hi - lo);
-
-  // One chain per replica: every record's WRs in submission order, then
-  // WRITE io-meta, then one flush READ covering them all. WR order inside
-  // the chain is the crash-ordering contract: a torn chain applies a
-  // prefix, so a record is only ever torn *after* all earlier records.
-  std::vector<std::vector<net::RdmaWorkRequest>> chains;
-  chains.reserve(route.replicas.size());
-  for (const auto& loc : route.replicas) {
-    net::ChainBuilder builder(loc.region);
-    for (const auto* rec : records) {
-      for (const RecordPiece& p : *rec) {
-        builder.Write(loc.base_offset + p.offset, p.data);
-      }
-    }
-    builder.Write(loc.io_meta_offset, Slice(io_meta));
-    builder.FlushRead(loc.io_meta_offset);
-    chains.push_back(builder.Take());
-  }
-
-  std::vector<net::ChainBreakdown> breakdowns;
-  auto statuses = fabric_->PostChainMulti(client_node_, chains, &breakdowns);
-  for (const Status& st : statuses) {
-    if (!st.ok()) {
-      vedb::MutexLock lk(&handle->mu_);
-      handle->frozen_ = true;
-      handle->frozen_epoch_ = handle->route_.epoch;
-      return st;
-    }
-  }
-
-  writes_->Add(records.size());
-  write_bytes_->Add(bytes);
-  write_ns_->Observe(env_->clock()->Now() - t0);
-  ring_doorbells_->Add(1);
-  doorbell_batch_->Observe(records.size());
-  if (records.size() > 1) coalesced_appends_->Add(records.size());
-
-  // Table 2-style breakdown of the critical chain, tiling [t0, end] (see
-  // WriteInternal). With batching the client part is amortized: one
-  // doorbell + the batched SDK cost covers every record in the group.
-  if (obs::Tracer* tracer = obs::Tracer::Global();
-      tracer != nullptr && span.active() && !breakdowns.empty()) {
-    const net::ChainBreakdown* crit = &breakdowns[0];
-    for (const auto& bd : breakdowns) {
-      if (bd.end > crit->end) crit = &bd;
-    }
-    const Timestamp c1 = sdk_done + crit->client;
-    const Timestamp c2 = c1 + crit->network;
-    const Timestamp c3 = c2 + crit->server;
-    tracer->AddSpan("breakdown.client", span.context(), t0, c1);
-    tracer->AddSpan("breakdown.network", span.context(), c1, c2);
-    tracer->AddSpan("breakdown.server", span.context(), c2, c3);
-    tracer->AddSpan("breakdown.pmem_flush", span.context(), c3, crit->end);
-  }
-
-  // Ack ordering: every record's bytes and the io-meta must be in the
-  // persistence domain on every replica before any token resolves OK —
-  // this is what keeps doorbell coalescing safe under the PersistChecker.
-  for (const auto& loc : route.replicas) {
-    for (const auto* rec : records) {
-      for (const RecordPiece& p : *rec) {
-        VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
-            loc.region, loc.base_offset + p.offset, p.data.size(),
-            "astore.client.ack/payload"));
-      }
-    }
-    VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
-        loc.region, loc.io_meta_offset, io_meta.size(),
-        "astore.client.ack/io_meta"));
-  }
-  return Status::OK();
 }
 
 Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
@@ -459,20 +289,26 @@ Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
   }
   {
     vedb::MutexLock lk(&handle->mu_);
-    if (handle->stale_) return Status::Stale("segment route is stale");
-    if (handle->frozen_) return Status::Unavailable("segment frozen");
     if (data.size() > handle->route_.size ||
         offset > handle->route_.size - data.size()) {
       return Status::InvalidArgument("write past segment end");
     }
   }
-  return WriteWithRecovery(handle, offset, data, "write_at");
+  const std::vector<RecordPiece> record{{offset, data}};
+  return WriteRecords(handle, {&record}, options_.write_sdk_overhead,
+                      "write_at");
 }
 
-Status AStoreClient::WriteWithRecovery(const SegmentHandlePtr& handle,
-                                       uint64_t offset, Slice data,
-                                       const char* op) {
-  Status s = WriteInternal(handle, offset, data);
+Status AStoreClient::WriteRecords(
+    const SegmentHandlePtr& handle,
+    const std::vector<const std::vector<RecordPiece>*>& records,
+    Duration sdk_cost, const char* op) {
+  {
+    vedb::MutexLock lk(&handle->mu_);
+    if (handle->stale_) return Status::Stale("segment route is stale");
+    if (handle->frozen_) return Status::Unavailable("segment frozen");
+  }
+  Status s = PostRecords(handle, records, sdk_cost);
   const RetryPolicy& rp = options_.retry;
   if (s.ok() || !rp.enabled) return s;
   const Timestamp deadline =
@@ -491,10 +327,10 @@ Status AStoreClient::WriteWithRecovery(const SegmentHandlePtr& handle,
     (void)RefreshRoute(handle);
     if (handle->stale()) return Status::Stale("segment route is stale");
     // The failed writer owns repair of its reserved range: it bypasses the
-    // frozen gate and re-posts the same bytes at the same offset on every
+    // frozen gate and re-posts the same bytes at the same offsets on every
     // replica, so a success re-establishes replica agreement — which is
     // why it may also lift the freeze it caused.
-    s = WriteInternal(handle, offset, data);
+    s = PostRecords(handle, records, sdk_cost);
     if (s.ok()) {
       vedb::MutexLock lk(&handle->mu_);
       if (handle->frozen_ && !handle->stale_) {
@@ -506,8 +342,10 @@ Status AStoreClient::WriteWithRecovery(const SegmentHandlePtr& handle,
   return s;
 }
 
-Status AStoreClient::WriteInternal(const SegmentHandlePtr& handle,
-                                   uint64_t offset, Slice data) {
+Status AStoreClient::PostRecords(
+    const SegmentHandlePtr& handle,
+    const std::vector<const std::vector<RecordPiece>*>& records,
+    Duration sdk_cost) {
   // Zombie fencing: a client whose lease lapsed must not touch PMem that
   // may have been reclaimed for another client (Section IV-C).
   if (options_.enforce_lease && !LeaseValid()) {
@@ -528,55 +366,66 @@ Status AStoreClient::WriteInternal(const SegmentHandlePtr& handle,
   const Timestamp t0 = env_->clock()->Now();
   obs::SpanScope span(obs::Tracer::Global(), "astore.client.write");
   span.AddTag("segment", std::to_string(handle->id()));
+  span.AddTag("batch", std::to_string(records.size()));
 
-  // SDK software cost (WR construction, segment-meta update, CQ polling).
-  client_node_->cpu()->Access(0, options_.write_sdk_overhead);
+  // SDK software cost (WR construction, segment-meta update, CQ polling),
+  // charged once for the whole group.
+  client_node_->cpu()->Access(0, sdk_cost);
   const Timestamp sdk_done = env_->clock()->Now();
 
   SegmentRoute route = handle->route();
 
   // io-meta: the offset/length pair that makes the effective data length
-  // discoverable after a failure (Section IV-B).
+  // discoverable after a failure (Section IV-B). One io-meta covers the
+  // group's full extent: recovery only needs the furthest persisted byte.
+  uint64_t lo = UINT64_MAX;
+  uint64_t hi = 0;
+  uint64_t bytes = 0;
+  for (const auto* rec : records) {
+    for (const RecordPiece& p : *rec) {
+      lo = std::min(lo, p.offset);
+      hi = std::max(hi, p.offset + p.data.size());
+      bytes += p.data.size();
+    }
+  }
   std::string io_meta;
-  PutFixed64(&io_meta, offset);
-  PutFixed64(&io_meta, data.size());
+  PutFixed64(&io_meta, lo);
+  PutFixed64(&io_meta, hi - lo);
 
-  // One chain per replica: WRITE payload + WRITE io-meta + flush READ,
-  // "chained together to reduce MMIO operations".
+  // One chain per replica, "chained together to reduce MMIO operations":
+  // every record's WRs in submission order, then WRITE io-meta, then one
+  // flush READ covering them all. WR order inside the chain is the
+  // crash-ordering contract: a torn chain applies a prefix, so a record is
+  // only ever torn *after* all earlier records.
   std::vector<std::vector<net::RdmaWorkRequest>> chains;
   chains.reserve(route.replicas.size());
   for (const auto& loc : route.replicas) {
-    std::vector<net::RdmaWorkRequest> chain(3);
-    chain[0].kind = net::RdmaWorkRequest::Kind::kWrite;
-    chain[0].region = loc.region;
-    chain[0].offset = loc.base_offset + offset;
-    chain[0].write_data = data;
-    chain[1].kind = net::RdmaWorkRequest::Kind::kWrite;
-    chain[1].region = loc.region;
-    chain[1].offset = loc.io_meta_offset;
-    chain[1].write_data = Slice(io_meta);
-    chain[2].kind = net::RdmaWorkRequest::Kind::kRead;
-    chain[2].region = loc.region;
-    chain[2].offset = loc.io_meta_offset;
-    chain[2].read_len = 0;  // flush-only READ
-    chains.push_back(std::move(chain));
+    net::ChainBuilder builder(loc.region);
+    for (const auto* rec : records) {
+      for (const RecordPiece& p : *rec) {
+        builder.Write(loc.base_offset + p.offset, p.data);
+      }
+    }
+    builder.Write(loc.io_meta_offset, Slice(io_meta));
+    builder.FlushRead(loc.io_meta_offset);
+    chains.push_back(builder.Take());
   }
 
   std::vector<net::ChainBreakdown> breakdowns;
   auto statuses = fabric_->PostChainMulti(client_node_, chains, &breakdowns);
-  for (const Status& s : statuses) {
-    if (!s.ok()) {
+  for (const Status& st : statuses) {
+    if (!st.ok()) {
       // "If any copy fails, it returns a failure to the application and
       // freezes the segment with the current effective length."
       vedb::MutexLock lk(&handle->mu_);
       handle->frozen_ = true;
       handle->frozen_epoch_ = handle->route_.epoch;
-      return s;
+      return st;
     }
   }
 
-  writes_->Add(1);
-  write_bytes_->Add(data.size());
+  writes_->Add(records.size());
+  write_bytes_->Add(bytes);
   write_ns_->Observe(env_->clock()->Now() - t0);
 
   // Table 2-style breakdown of the critical (slowest-replica) chain: four
@@ -599,16 +448,21 @@ Status AStoreClient::WriteInternal(const SegmentHandlePtr& handle,
     tracer->AddSpan("breakdown.pmem_flush", span.context(), c3, crit->end);
   }
 
-  // All replicas reported completion: this is the point where the write is
-  // acknowledged as durable to the caller. The persist checker validates
-  // that the payload and io-meta actually entered every replica's
+  // All replicas reported completion: this is the point where the group is
+  // acknowledged as durable. The persist checker validates that every
+  // record's bytes and the io-meta actually entered every replica's
   // persistence domain — with DDIO left enabled the flush READ is a no-op
   // and this trips immediately, which is exactly the bug class the paper's
-  // DDIO-off deployment exists to prevent.
+  // DDIO-off deployment exists to prevent. It is also what keeps doorbell
+  // coalescing safe: no record acks before the whole chain is persistent.
   for (const auto& loc : route.replicas) {
-    VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
-        loc.region, loc.base_offset + offset, data.size(),
-        "astore.client.ack/payload"));
+    for (const auto* rec : records) {
+      for (const RecordPiece& p : *rec) {
+        VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
+            loc.region, loc.base_offset + p.offset, p.data.size(),
+            "astore.client.ack/payload"));
+      }
+    }
     VEDB_RETURN_IF_ERROR(fabric_->VerifyPersisted(
         loc.region, loc.io_meta_offset, io_meta.size(),
         "astore.client.ack/io_meta"));

@@ -134,8 +134,9 @@ class AStoreClient {
     Duration route_refresh_interval = 50 * kMillisecond;
     /// How often the client lease is renewed.
     Duration lease_renew_interval = 500 * kMillisecond;
-    /// Client software cost per write (WR construction, CQ polling,
-    /// segment-meta update). Calibrated against Table II.
+    /// Client software cost per Append/WriteAt (WR construction, CQ
+    /// polling, segment-meta update). An assumed figure, not yet calibrated
+    /// against the paper; ring appends pay AppendRingOptions' costs instead.
     Duration write_sdk_overhead = 55 * kMicrosecond;
     /// Client software cost per read.
     Duration read_sdk_overhead = 4 * kMicrosecond;
@@ -213,19 +214,25 @@ class AStoreClient {
   /// records (SegmentRing) submit pieces directly.
   AppendRing* append_ring() { return append_ring_.get(); }
 
-  /// Posts a group of framed records against one segment as a single
-  /// chained-WR doorbell per replica (one doorbell_cost + one flush READ
-  /// amortized over the group), with the same transparent recovery as
-  /// Append. Called by the AppendRing's flush leader; `records` are borrowed
-  /// piece lists that must stay alive for the call.
-  Status WriteRecordGroup(
-      const SegmentHandlePtr& handle,
-      const std::vector<const std::vector<RecordPiece>*>& records);
-
   /// Writes `data` at an explicit offset (used for SegmentRing headers and
   /// EBP slot placement). Subject to the same lease/freeze checks and the
   /// same transparent recovery as Append.
   Status WriteAt(const SegmentHandlePtr& handle, uint64_t offset, Slice data);
+
+  /// The one AStore write path. Posts a group of records against one
+  /// segment as a single chained-WR doorbell per replica — every record's
+  /// WRs, one io-meta WRITE, one flush READ — charging `sdk_cost` of client
+  /// CPU once for the group. A failed post freezes the segment; with retry
+  /// enabled the caller then owns repair: refresh the route, re-post the
+  /// identical bytes at the identical offsets, un-freeze on success.
+  /// Retries are counted as astore.client.retries{op=`op`}. Append and
+  /// WriteAt post one-record groups; the AppendRing's flush leader posts
+  /// coalesced ones. `records` are borrowed piece lists that must stay
+  /// alive for the call.
+  Status WriteRecords(
+      const SegmentHandlePtr& handle,
+      const std::vector<const std::vector<RecordPiece>*>& records,
+      Duration sdk_cost, const char* op);
 
   /// Reads `len` bytes at `offset` via one-sided RDMA READ. Fails over
   /// across replicas within one attempt; with retry enabled, refreshes the
@@ -301,16 +308,16 @@ class AStoreClient {
   sim::SimEnvironment* env() { return env_; }
 
  private:
-  Status WriteInternal(const SegmentHandlePtr& handle, uint64_t offset,
-                       Slice data);
-  Status WriteWithRecovery(const SegmentHandlePtr& handle, uint64_t offset,
-                           Slice data, const char* op);
-  /// One batched fan-out attempt for WriteRecordGroup (the group analogue
-  /// of WriteInternal): per-replica chain of all record WRs + one io-meta
-  /// WR + one flush READ.
-  Status PostRecordGroup(
+  /// Checks the write gate (stale, frozen) and reserves `size` bytes at
+  /// the handle's write cursor; the start offset lands in `offset`.
+  Status ReserveCursor(const SegmentHandlePtr& handle, uint64_t size,
+                       uint64_t* offset);
+  /// One fan-out attempt for WriteRecords: lease fence, fault site, chain
+  /// build and post, freeze on failure, breakdown spans, persist acks.
+  Status PostRecords(
       const SegmentHandlePtr& handle,
-      const std::vector<const std::vector<RecordPiece>*>& records);
+      const std::vector<const std::vector<RecordPiece>*>& records,
+      Duration sdk_cost);
   Status ReadWithRecovery(const SegmentHandlePtr& handle, uint64_t offset,
                           uint64_t len, char* out,
                           const ReadOptions& read_opts);
@@ -380,9 +387,6 @@ class AStoreClient {
   obs::Counter* cm_failovers_ = nullptr;
   obs::Counter* corrupt_reads_ = nullptr;
   obs::Counter* read_repairs_ = nullptr;
-  obs::Counter* ring_doorbells_ = nullptr;
-  obs::HistogramMetric* doorbell_batch_ = nullptr;
-  obs::Counter* coalesced_appends_ = nullptr;
 
   // Declared last: the ring's constructor reads env_ through this client.
   std::unique_ptr<AppendRing> append_ring_;

@@ -92,7 +92,10 @@ Status BlobStoreCluster::HandleAppend(sim::SimNode* node, Slice request,
   vedb::MutexLock lk(&mu_);
   auto it = blobs_.find(id);
   if (it == blobs_.end()) return Status::NotFound("no such blob");
-  if (offset + data.size() > options_.blob_capacity) {
+  // Subtraction form: `offset` comes off the wire, and `offset + size`
+  // near UINT64_MAX would wrap past the bounds check.
+  if (data.size() > options_.blob_capacity ||
+      offset > options_.blob_capacity - data.size()) {
     return Status::NoSpace("blob full");
   }
   std::string& content = it->second.data[node->name()];
@@ -122,7 +125,7 @@ Status BlobStoreCluster::HandleRead(sim::SimNode* node, Slice request,
   auto it = blobs_.find(id);
   if (it == blobs_.end()) return Status::NotFound("no such blob");
   const std::string& content = it->second.data[node->name()];
-  if (offset + len > content.size()) {
+  if (len > content.size() || offset > content.size() - len) {
     return Status::InvalidArgument("blob read past end");
   }
   response->assign(content.data() + offset, len);
@@ -374,7 +377,7 @@ Status BlobGroup::Read(uint64_t offset, uint64_t len, std::string* out) {
     vedb::MutexLock lk(&mu_);
     end = next_chunk_ * io;
   }
-  if (offset + len > end) {
+  if (len > end || offset > end - len) {
     return Status::InvalidArgument("read past end of blob group");
   }
   while (len > 0) {

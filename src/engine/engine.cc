@@ -324,16 +324,23 @@ void DBEngine::ShipperLoop() {
   while (!shutdown_.load()) {
     env_->clock()->SleepFor(options_.shipper_period);
     while (true) {
-      bool more;
+      uint64_t shipped_before = 0;
       {
         vedb::MutexLock lk(&ship_mu_);
-        more = !ship_queue_.empty() &&
-               ship_queue_.begin()->first <= log_->DurableLsn();
+        if (ship_queue_.empty() ||
+            ship_queue_.begin()->first > log_->DurableLsn()) {
+          break;
+        }
+        shipped_before = shipped_through_;
       }
-      if (!more) break;
-      // discard-ok: background shipping retries forever; EnsureShipped is
-      // the synchronous fence for callers that need the result.
-      (void)ShipEligibleOnce();
+      // A failed ship is retried at once; EnsureShipped is the synchronous
+      // fence for callers that need the result. A successful pass that did
+      // not advance means an EnsureShipped caller holds the next batch in
+      // flight: wait for the next period instead of spinning, which would
+      // keep the clock's run token and stop virtual time.
+      if (!ShipEligibleOnce().ok()) continue;
+      vedb::MutexLock lk(&ship_mu_);
+      if (shipped_through_ == shipped_before) break;
     }
   }
 }

@@ -32,7 +32,7 @@ uint64_t PmemDevice::PendingBytesLocked() const {
 }
 
 Status PmemDevice::WriteFromRemote(uint64_t offset, Slice data) {
-  if (offset + data.size() > capacity_) {
+  if (data.size() > capacity_ || offset > capacity_ - data.size()) {
     return Status::InvalidArgument("pmem write out of bounds");
   }
   {
@@ -47,7 +47,7 @@ Status PmemDevice::WriteFromRemote(uint64_t offset, Slice data) {
 }
 
 Status PmemDevice::WriteLocal(uint64_t offset, Slice data) {
-  if (offset + data.size() > capacity_) {
+  if (data.size() > capacity_ || offset > capacity_ - data.size()) {
     return Status::InvalidArgument("pmem write out of bounds");
   }
   {
@@ -61,7 +61,7 @@ Status PmemDevice::WriteLocal(uint64_t offset, Slice data) {
 }
 
 Status PmemDevice::Read(uint64_t offset, uint64_t len, char* out) const {
-  if (offset + len > capacity_) {
+  if (len > capacity_ || offset > capacity_ - len) {
     return Status::InvalidArgument("pmem read out of bounds");
   }
   std::lock_guard<std::mutex> lk(mu_);

@@ -104,6 +104,48 @@ TEST(AStoreRetryTest, InjectedWriteFaultIsRetriedAndUnfrozen) {
   c.env.clock()->UnregisterActor();
 }
 
+// WriteAt posts a one-record group through the same write path as the
+// append ring: a fault there freezes the segment, the retry carries the
+// caller's op label, and the re-post repairs every replica and lifts the
+// freeze. Doorbell counters belong to the ring and only move for its posts.
+TEST(AStoreRetryTest, WriteAtFaultIsRetriedOnTheSharedWritePath) {
+  obs::MetricsRegistry::Default().RemoveAllForTesting();
+  MiniCluster c(13);
+  c.env.clock()->RegisterActor();
+  ASSERT_TRUE(c.client->Connect().ok());
+  auto res = c.client->CreateSegment(1 * kMiB, 3);
+  ASSERT_TRUE(res.ok());
+  SegmentHandlePtr seg = res.value();
+
+  c.env.faults()->Arm("astore.client.write", 1.0,
+                      Status::IOError("injected fan-out fault"),
+                      /*remaining=*/1);
+  const std::string payload = "one write path";
+  ASSERT_TRUE(c.client->WriteAt(seg, 4096, Slice(payload)).ok());
+  EXPECT_FALSE(seg->frozen());
+  const auto* retries = obs::MetricsRegistry::Default().GetCounter(
+      "astore.client.retries", {{"op", "write_at"}, {"cause", "io_error"}});
+  EXPECT_EQ(retries->value(), 1u);
+  EXPECT_EQ(SumCounter("astore.client.retries"), 1u);
+  EXPECT_EQ(SumCounter("astore.client.unfreezes"), 1u);
+
+  std::string buf(payload.size(), '\0');
+  for (size_t r = 0; r < seg->route().replicas.size(); ++r) {
+    ASSERT_TRUE(
+        c.client->ReadReplica(seg, r, 4096, payload.size(), buf.data()).ok());
+    EXPECT_EQ(buf, payload) << "replica " << r;
+  }
+
+  // Synchronous writes ring no ring doorbell; an async append rings one.
+  ASSERT_TRUE(c.client->Append(seg, Slice("sync"), nullptr).ok());
+  EXPECT_EQ(SumCounter("ring.doorbells"), 0u);
+  auto token = c.client->AppendAsync(seg, Slice("async"));
+  ASSERT_TRUE(token.ok());
+  ASSERT_TRUE(c.client->WaitAppend(*token).ok());
+  EXPECT_EQ(SumCounter("ring.doorbells"), 1u);
+  c.env.clock()->UnregisterActor();
+}
+
 TEST(AStoreRetryTest, StaleRouteAfterRebuildIsRefreshedAndUnfrozen) {
   obs::MetricsRegistry::Default().RemoveAllForTesting();
   MiniCluster c(12);

@@ -154,6 +154,29 @@ TEST(FaultInjectorCorruptionTest, CorruptionStreamDoesNotShiftFaultDraws) {
   EXPECT_EQ(fail_pattern(false), fail_pattern(true));
 }
 
+// Bounds checks must not wrap: an offset near UINT64_MAX plus a small
+// length sums past zero, which a naive `offset + len > capacity` check
+// would accept and then copy through a wild pointer.
+constexpr uint64_t kWrapOffset = UINT64_MAX - 3;
+
+TEST(PmemBoundsTest, RemoteWriteNearUint64MaxIsRejected) {
+  pmem::PmemDevice dev(1 * kMiB, /*ddio_enabled=*/false);
+  EXPECT_TRUE(dev.WriteFromRemote(kWrapOffset, Slice("abcdefgh"))
+                  .IsInvalidArgument());
+}
+
+TEST(PmemBoundsTest, LocalWriteNearUint64MaxIsRejected) {
+  pmem::PmemDevice dev(1 * kMiB, /*ddio_enabled=*/false);
+  EXPECT_TRUE(
+      dev.WriteLocal(kWrapOffset, Slice("abcdefgh")).IsInvalidArgument());
+}
+
+TEST(PmemBoundsTest, ReadNearUint64MaxIsRejected) {
+  pmem::PmemDevice dev(1 * kMiB, /*ddio_enabled=*/false);
+  char buf[8];
+  EXPECT_TRUE(dev.Read(kWrapOffset, sizeof(buf), buf).IsInvalidArgument());
+}
+
 }  // namespace
 }  // namespace vedb
 
@@ -265,6 +288,45 @@ TEST_F(BlobIntegrityTest, AllReplicasCorruptSurfacesDataLoss) {
   Status s = cluster_->ReadVerified(client_, *id, off, rec.size(), &out,
                                     VerifyFramedCrc);
   EXPECT_TRUE(s.IsDataLoss()) << s.ToString();
+}
+
+// The blob handlers decode `offset` from the wire, so a peer can send any
+// value: a wrapped bounds sum would copy through a wild pointer.
+TEST_F(BlobIntegrityTest, WireAppendNearUint64MaxIsRejected) {
+  auto id = cluster_->CreateBlob(client_);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(cluster_->Append(client_, *id, Slice("0123456789"), nullptr).ok());
+  std::string req;
+  PutFixed64(&req, *id);
+  PutFixed64(&req, kWrapOffset);
+  PutLengthPrefixedSlice(&req, Slice("abcdefgh"));
+  const std::vector<Status> statuses =
+      rpc_->CallParallel(client_, cluster_->ReplicasOf(*id), "blob.append",
+                         Slice(req), /*responses=*/nullptr);
+  for (const Status& s : statuses) {
+    EXPECT_TRUE(s.IsNoSpace()) << s.ToString();
+  }
+}
+
+TEST_F(BlobIntegrityTest, WireReadNearUint64MaxIsRejected) {
+  auto id = cluster_->CreateBlob(client_);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(cluster_->Append(client_, *id, Slice("0123456789"), nullptr).ok());
+  std::string out;
+  Status s = cluster_->Read(client_, *id, kWrapOffset, 8, &out);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+}
+
+TEST_F(BlobIntegrityTest, GroupReadNearUint64MaxIsRejected) {
+  auto group = BlobGroup::Create(cluster_.get(), client_, BlobGroup::Options{});
+  ASSERT_TRUE(group.ok());
+  ASSERT_TRUE((*group)->Append(Slice("0123456789"), nullptr).ok());
+  std::string out;
+  const Timestamp before = env_.clock()->Now();
+  Status s = (*group)->Read(kWrapOffset, 8, &out);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  // Rejected by the group's own bounds check, before any blob RPC.
+  EXPECT_EQ(env_.clock()->Now(), before);
 }
 
 TEST(BlobIntegrityDeterminismTest, SeededCrashAndRepairRunsAreByteIdentical) {
