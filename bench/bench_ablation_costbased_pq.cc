@@ -38,8 +38,8 @@ Rig MakeRig() {
       ps_nodes, rig.cluster->astore_servers(),
       query::PushdownRuntime::Options{});
   rig.pushdown->AttachEbp(rig.cluster->ebp());
-  rig.cluster->StartBackground();
   rig.cluster->env()->clock()->RegisterActor();
+  rig.cluster->StartBackground();
 
   workload::TpccScale scale;
   scale.warehouses = 4;

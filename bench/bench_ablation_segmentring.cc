@@ -24,8 +24,8 @@ double RunAppends(bool use_astore, size_t record_bytes, int ops) {
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   opts.astore_log.ring.segment_size = 4 * kMiB;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   const std::string payload(record_bytes, 'r');
   Histogram latency;

@@ -22,8 +22,8 @@ double RunMixedLoad(bool enable_ebp, int ap_clients) {
   // A buffer pool small enough that AP scans evict the TP working set.
   opts.engine.buffer_pool.capacity_pages = 64;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::TpccScale scale;
   scale.warehouses = 4;

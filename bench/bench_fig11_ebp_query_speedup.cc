@@ -46,8 +46,8 @@ void RunConfig(size_t bp_pages, bool enable_ebp, double out_ms[]) {
       bench::MakeClusterOptions(true, enable_ebp ? 128 * kMiB : 0);
   opts.engine.buffer_pool.capacity_pages = bp_pages;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::TpccScale scale;
   scale.warehouses = 4;

@@ -26,8 +26,8 @@ OpsResult RunOps(uint64_t ebp_capacity) {
   // from the skewed key distribution over a small resident hot set.
   opts.engine.buffer_pool.capacity_pages = 96;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::OperationsWorkload::Options wopts;
   wopts.rows = 50000;
@@ -40,7 +40,6 @@ OpsResult RunOps(uint64_t ebp_capacity) {
   std::vector<Random> rngs;
   for (int i = 0; i < kClients; ++i) rngs.emplace_back(300 + i);
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), kClients, 200 * kMillisecond, 800 * kMillisecond,
       [&](int c) { return workload.RunLookup(&rngs[c]); });
@@ -49,6 +48,7 @@ OpsResult RunOps(uint64_t ebp_capacity) {
   out.avg_us = result.latency.Average() / 1e3;
   out.p99_us = result.latency.P99() / 1e3;
   cluster.Shutdown();
+  cluster.env()->clock()->UnregisterActor();
   return out;
 }
 

@@ -36,8 +36,8 @@ double RunSysbench(bool astore_with_ebp, const Deployment& dep,
   opts.engine.buffer_pool.capacity_pages =
       astore_with_ebp ? dep.astore_bp_pages : dep.stock_bp_pages;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::SysbenchWorkload::Options wopts;
   wopts.rows = 30000;
@@ -49,7 +49,6 @@ double RunSysbench(bool astore_with_ebp, const Deployment& dep,
   for (int i = 0; i < clients; ++i) rngs.emplace_back(40 + i);
   std::atomic<uint64_t> queries{0};
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), clients, 100 * kMillisecond, 500 * kMillisecond,
       [&](int c) {
@@ -62,6 +61,7 @@ double RunSysbench(bool astore_with_ebp, const Deployment& dep,
       static_cast<double>(queries.load()) /
       (static_cast<double>(result.elapsed) / kSecond);
   cluster.Shutdown();
+  cluster.env()->clock()->UnregisterActor();
   return qps;
 }
 

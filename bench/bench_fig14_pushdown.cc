@@ -41,8 +41,8 @@ Setup MakeSetup(bool enable_ebp) {
       s.cluster->env(), s.cluster->rpc(), s.cluster->pagestore(), ps_nodes,
       s.cluster->astore_servers(), query::PushdownRuntime::Options{});
   s.pushdown->AttachEbp(s.cluster->ebp());
-  s.cluster->StartBackground();
   s.cluster->env()->clock()->RegisterActor();
+  s.cluster->StartBackground();
 
   workload::TpccScale scale;
   scale.warehouses = 4;

@@ -55,12 +55,10 @@ std::vector<Point> RunSweep(bool use_astore,
       drivers.push_back(
           std::make_unique<workload::TpccDriver>(&db, 1000 + i));
     }
-    cluster.env()->clock()->UnregisterActor();
     workload::LoadResult result = workload::RunClosedLoop(
         cluster.env(), clients, /*warmup=*/100 * kMillisecond,
         /*duration=*/600 * kMillisecond,
         [&](int c) { return drivers[c]->RunMixed(nullptr); });
-    cluster.env()->clock()->RegisterActor();
 
     // Report latency from the registry (RunClosedLoop mirrors its run into
     // workload.txn_latency_ns), and keep the whole per-config snapshot for

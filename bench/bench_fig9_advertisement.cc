@@ -22,8 +22,8 @@ struct AdResult {
 AdResult RunAds(bool use_astore) {
   workload::ClusterOptions opts = bench::MakeClusterOptions(use_astore, 0);
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::AdvertisementWorkload workload(
       cluster.engine(), workload::AdvertisementWorkload::Options{}, 31);
@@ -34,7 +34,6 @@ AdResult RunAds(bool use_astore) {
   std::vector<Random> rngs;
   for (int i = 0; i < kClients; ++i) rngs.emplace_back(900 + i);
 
-  cluster.env()->clock()->UnregisterActor();
   workload::LoadResult result = workload::RunClosedLoop(
       cluster.env(), kClients, 100 * kMillisecond, 800 * kMillisecond,
       [&](int c) { return workload.RunQuery(&rngs[c]); });
@@ -44,6 +43,7 @@ AdResult RunAds(bool use_astore) {
   out.p99_ms = result.latency.P99() / 1e6;
   out.max_ms = result.latency.max() / 1e6;
   cluster.Shutdown();
+  cluster.env()->clock()->UnregisterActor();
   return out;
 }
 

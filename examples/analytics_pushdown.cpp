@@ -35,8 +35,8 @@ int main() {
                                   query::PushdownRuntime::Options{});
   pushdown.AttachEbp(cluster.ebp());
 
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::TpccScale scale;
   scale.warehouses = 4;

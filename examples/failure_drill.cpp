@@ -34,8 +34,8 @@ int main() {
   workload::ClusterOptions options;
   options.astore_nodes = 4;  // a spare node for replica rebuild
   workload::VedbCluster cluster(options);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   DeclareCatalog(cluster.engine());
   Table* ledger = cluster.engine()->GetTable("ledger");

@@ -20,8 +20,8 @@ workload::LoadResult RunDeployment(bool use_astore, int clients) {
   workload::ClusterOptions options;
   options.use_astore_log = use_astore;
   workload::VedbCluster cluster(options);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   workload::OrderProcessingWorkload::Options wopts;
   wopts.merchants = 8;

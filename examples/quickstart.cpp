@@ -48,8 +48,8 @@ int main() {
   options.use_astore_log = true;
   options.enable_ebp = true;
   workload::VedbCluster cluster(options);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
   printf("cluster up: %zu AStore servers, EBP %s\n",
          cluster.astore_servers().size(),
          cluster.ebp() != nullptr ? "enabled" : "disabled");

@@ -57,7 +57,7 @@ void ClusterManager::RegisterServer(AStoreServer* server) {
 
 void ClusterManager::StartBackground(sim::ActorGroup* group) {
   {
-    std::lock_guard<std::mutex> lk(bg_mu_);
+    vedb::MutexLock lk(&bg_mu_);
     bg_active_++;
   }
   group->Spawn([this] { HealthLoop(); });
@@ -66,11 +66,10 @@ void ClusterManager::StartBackground(sim::ActorGroup* group) {
 void ClusterManager::Shutdown() {
   RequestShutdown();
   // Drain: the heartbeat actor observes the flag within one period and
-  // exits. The wait is real time, so let the virtual clock advance past us
-  // while we park (safe for actor and guest callers alike).
-  sim::VirtualClock::ExternalWaitScope ext(env_->clock());
-  std::unique_lock<std::mutex> lk(bg_mu_);
-  bg_cv_.wait(lk, [this] { return bg_active_ == 0; });
+  // exits. The wait is in virtual time (safe for actor and guest callers
+  // alike): the clock advances past us while we park.
+  vedb::MutexLock lk(&bg_mu_);
+  bg_cv_.Wait(&bg_mu_, [this] { return bg_active_ == 0; });
 }
 
 void ClusterManager::HealthLoop() {
@@ -80,10 +79,10 @@ void ClusterManager::HealthLoop() {
     Tick();
   }
   {
-    std::lock_guard<std::mutex> lk(bg_mu_);
+    vedb::MutexLock lk(&bg_mu_);
     bg_active_--;
   }
-  bg_cv_.notify_all();
+  bg_cv_.NotifyAll();
 }
 
 void ClusterManager::Tick() {

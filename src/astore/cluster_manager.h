@@ -18,11 +18,9 @@
 #define VEDB_ASTORE_CLUSTER_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -93,8 +91,8 @@ class ClusterManager {
   /// Flags the background task to stop without waiting for it. When
   /// tearing down several CMs (or a CM plus other periodic actors) at a
   /// fixed virtual time, request ALL shutdowns first and only then drain:
-  /// a drain is a real-time wait during which still-unflagged loops would
-  /// free-run virtual time nondeterministically.
+  /// a drain parks in virtual time, during which still-unflagged loops
+  /// would keep ticking.
   void RequestShutdown() { shutdown_.store(true); }
 
   /// Stops the background task and drains it: on return the heartbeat
@@ -291,13 +289,11 @@ class ClusterManager {
   std::map<uint32_t, obs::Gauge*> lag_gauges_;  // fixed at SetPeers
 
   std::atomic<bool> shutdown_{false};
-  // Drain handshake for Shutdown(): counts live background actors. Plain
-  // std::mutex (not vedb::Mutex) because the waiter parks in real time
-  // under a VirtualClock::ExternalWaitScope. Waiver(thread-annotations):
-  // bg_active_ is only touched under bg_mu_.
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  int bg_active_ = 0;
+  // Drain handshake for Shutdown(): counts live background actors; the
+  // drainer parks on bg_cv_ in virtual time until the count reaches zero.
+  vedb::Mutex bg_mu_{"cm.drain"};
+  sim::VirtualCondition bg_cv_{env_->clock(), "cm.drain"};
+  int bg_active_ GUARDED_BY(bg_mu_) = 0;
 };
 
 }  // namespace vedb::astore

@@ -33,7 +33,7 @@ Scrubber::Scrubber(sim::SimEnvironment* env, AStoreClient* client,
 
 void Scrubber::StartBackground(sim::ActorGroup* group) {
   {
-    std::lock_guard<std::mutex> lk(bg_mu_);
+    vedb::MutexLock lk(&bg_mu_);
     bg_active_++;
   }
   group->Spawn([this] { ScrubLoop(); });
@@ -41,9 +41,8 @@ void Scrubber::StartBackground(sim::ActorGroup* group) {
 
 void Scrubber::Shutdown() {
   RequestShutdown();
-  sim::VirtualClock::ExternalWaitScope ext(env_->clock());
-  std::unique_lock<std::mutex> lk(bg_mu_);
-  bg_cv_.wait(lk, [this] { return bg_active_ == 0; });
+  vedb::MutexLock lk(&bg_mu_);
+  bg_cv_.Wait(&bg_mu_, [this] { return bg_active_ == 0; });
 }
 
 void Scrubber::ScrubLoop() {
@@ -53,10 +52,10 @@ void Scrubber::ScrubLoop() {
     ScrubPass();
   }
   {
-    std::lock_guard<std::mutex> lk(bg_mu_);
+    vedb::MutexLock lk(&bg_mu_);
     bg_active_--;
   }
-  bg_cv_.notify_all();
+  bg_cv_.NotifyAll();
 }
 
 void Scrubber::ScrubPass() {

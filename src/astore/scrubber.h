@@ -16,9 +16,7 @@
 #define VEDB_ASTORE_SCRUBBER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "astore/client.h"
@@ -98,10 +96,9 @@ class Scrubber {
 
   std::atomic<bool> shutdown_{false};
   // Drain handshake (see ClusterManager::Shutdown for the pattern).
-  // Waiver(thread-annotations): bg_active_ is only touched under bg_mu_.
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  int bg_active_ = 0;
+  vedb::Mutex bg_mu_{"astore.scrub.drain"};
+  sim::VirtualCondition bg_cv_{env_->clock(), "astore.scrub.drain"};
+  int bg_active_ GUARDED_BY(bg_mu_) = 0;
 
   // Observability (resolved once at construction; labels = {node}).
   obs::Counter* chunks_ = nullptr;

@@ -298,12 +298,14 @@ Status Table::BulkLoad(const std::vector<Row>& rows) {
 }
 
 Status Table::RebuildIndexes() {
-  vedb::MutexLock lk(&mu_);
-  pk_index_.clear();
-  for (auto& [name, idx] : sec_indexes_) idx.entries.clear();
-  pages_.clear();
-  row_count_ = 0;
-
+  // Read every page before taking mu_: ReadPage blocks on the virtual
+  // clock, and no lock may be held across a block.
+  struct LoadedRow {
+    Rid rid;
+    Row row;
+  };
+  std::vector<PageMeta> pages;
+  std::vector<LoadedRow> rows;
   // Walk pages from storage until the first page that never existed.
   for (PageNo page_no = 0;; ++page_no) {
     std::string image;
@@ -324,14 +326,23 @@ Status Table::RebuildIndexes() {
       if (!DecodeRow(row_bytes, &row)) {
         return Status::Corruption("bad row during index rebuild");
       }
-      const std::string pk = PkOf(schema_, row);
-      pk_index_[pk] = Rid{page_no, slot};
-      row_count_++;
-      for (auto& [name, idx] : sec_indexes_) {
-        idx.entries[SecKeyOf(idx.columns, row)].insert(pk);
-      }
+      rows.push_back(LoadedRow{Rid{page_no, slot}, std::move(row)});
     }
-    pages_.push_back(meta);
+    pages.push_back(meta);
+  }
+
+  vedb::MutexLock lk(&mu_);
+  pk_index_.clear();
+  for (auto& [name, idx] : sec_indexes_) idx.entries.clear();
+  pages_ = std::move(pages);
+  row_count_ = 0;
+  for (const LoadedRow& loaded : rows) {
+    const std::string pk = PkOf(schema_, loaded.row);
+    pk_index_[pk] = loaded.rid;
+    row_count_++;
+    for (auto& [name, idx] : sec_indexes_) {
+      idx.entries[SecKeyOf(idx.columns, loaded.row)].insert(pk);
+    }
   }
   return Status::OK();
 }

@@ -2,10 +2,10 @@
 // operation ([start, end] in virtual ns); spans link parent->child through a
 // TraceContext that propagates two ways:
 //
-//  * Thread-ambient: SpanScope pushes its context onto a thread-local stack,
-//    so nested scopes on one actor chain automatically (the sim runs RPC
-//    handlers on the calling actor's thread, so one log write traces
-//    straight through client -> transport -> server handler).
+//  * Actor-ambient: SpanScope pushes its context onto a per-actor stack
+//    (sim::ActorLocal), so nested scopes on one actor chain automatically
+//    (the sim runs RPC handlers on the calling actor, so one log write
+//    traces straight through client -> transport -> server handler).
 //  * On the wire: RpcTransport prepends an encoded TraceContext to every
 //    request (see EncodeTraceContext) and installs it around the server
 //    handler, which is how a context "rides the RPC header" — the mechanism
@@ -88,7 +88,7 @@ class Tracer {
   sim::VirtualClock* clock() { return clock_; }
 
   /// The context of the innermost open SpanScope/ContextScope on this
-  /// thread (invalid context if none).
+  /// actor (invalid context if none).
   static TraceContext CurrentContext();
 
   /// Installs/uninstalls the process-global tracer instrumented modules
@@ -123,7 +123,7 @@ class Tracer {
 };
 
 /// RAII span tied to the global tracer: starts at construction (virtual
-/// now), becomes the thread's current context, finishes at destruction.
+/// now), becomes the actor's current context, finishes at destruction.
 /// Inactive (zero cost beyond two branches) when no global tracer is set.
 class SpanScope {
  public:
@@ -142,7 +142,7 @@ class SpanScope {
   Span span_;
 };
 
-/// Installs an explicit context as the thread's current one (server side of
+/// Installs an explicit context as the actor's current one (server side of
 /// an RPC: the decoded wire context). No span is recorded.
 class ContextScope {
  public:

@@ -34,6 +34,9 @@ class PmemDevice {
   /// paper rejects); when false, an RDMA READ flush moves them into the
   /// persistence domain (the configuration the paper ships).
   PmemDevice(uint64_t capacity, bool ddio_enabled, uint64_t crash_seed = 7);
+  ~PmemDevice();
+  PmemDevice(const PmemDevice&) = delete;
+  PmemDevice& operator=(const PmemDevice&) = delete;
 
   uint64_t capacity() const { return capacity_; }
   bool ddio_enabled() const { return ddio_enabled_; }
@@ -122,7 +125,11 @@ class PmemDevice {
   const uint64_t capacity_;
   const bool ddio_enabled_;
   mutable std::mutex mu_;
-  std::vector<char> bytes_;
+  // The address space: an anonymous private mapping reserved at
+  // construction, so a page costs memory only once it is written (unwritten
+  // bytes read as zero).
+  const uint64_t mapped_size_;
+  char* const bytes_;
   // offset -> end of ranges written but not yet persistent.
   std::map<uint64_t, uint64_t> pending_;
   // offset -> bad-region descriptor (see MarkBadRegion).

@@ -256,8 +256,10 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
     std::string request;
     uint32_t count = 0;
   };
-  std::map<std::string, EbpTask> ebp_tasks;             // by astore node
-  std::map<sim::SimNode*, std::vector<uint64_t>> ps_tasks;
+  // Keyed by node name, never by address: the scatter order (and with it
+  // the virtual time) must not depend on where the nodes sit in the heap.
+  std::map<std::string, EbpTask> ebp_tasks;                // by astore node
+  std::map<std::string, std::vector<uint64_t>> ps_tasks;  // by PageStore node
   for (engine::PageNo page_no : table->PageList()) {
     const uint64_t key = engine::PackPageKey(table->space(), page_no);
     ebp::ExtendedBufferPool::Placement placement;
@@ -273,7 +275,7 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
       if (node == nullptr) {
         return Status::Unavailable("no PageStore replica for push-down");
       }
-      ps_tasks[node].push_back(key);
+      ps_tasks[node->name()].push_back(key);
       ctx->pushdown_pages_from_pagestore++;
     }
   }
@@ -285,11 +287,11 @@ Result<std::vector<Row>> PushdownRuntime::ExecuteFragment(
     req += task.request;
     calls.push_back({env_->GetNode(node_name), "pq.exec.ebp", std::move(req)});
   }
-  for (auto& [node, keys] : ps_tasks) {
+  for (auto& [node_name, keys] : ps_tasks) {
     std::string req = fragment_bytes;
     PutVarint32(&req, static_cast<uint32_t>(keys.size()));
     for (uint64_t key : keys) PutFixed64(&req, key);
-    calls.push_back({node, "pq.exec.ps", std::move(req)});
+    calls.push_back({env_->GetNode(node_name), "pq.exec.ps", std::move(req)});
   }
   ctx->pushdown_tasks += calls.size();
 

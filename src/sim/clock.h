@@ -1,30 +1,43 @@
-// Virtual-time runtime: real OS threads act as simulation actors whose
+// Virtual-time runtime: simulation actors are stackful fibers whose
 // blocking all flows through a shared VirtualClock. When every actor is
 // asleep (with a wake time) or parked (on a VirtualCondition), the clock
 // jumps to the earliest pending wake time. Database code therefore runs
-// unmodified on real threads while all latency is measured in deterministic
-// virtual nanoseconds.
+// unmodified as ordinary blocking code while all latency is measured in
+// deterministic virtual nanoseconds.
 //
 // Execution is SERIALIZED: the clock grants a single run token, so at most
-// one registered actor executes at a time. Actors woken at the same virtual
-// instant run one after another in a deterministic ready order (timer pop
-// order, condition parking order, spawn order) instead of racing on real
-// threads. This is what makes two identical seeded runs byte-identical even
-// when many actors wake at the same instant and contend for shared device
-// queues or RNG draws. Threads that never registered ("guests", e.g. a test
-// main constructing a cluster) still run outside the token and may interleave
-// with actors in real time; fully deterministic phases must be driven by a
-// registered actor.
+// one actor executes at a time. Actors woken at the same virtual instant run
+// one after another in a deterministic ready order (timer pop order,
+// condition parking order, spawn order). This is what makes two identical
+// seeded runs byte-identical even when many actors wake at the same instant
+// and contend for shared device queues or RNG draws.
+//
+// Two kinds of actor share that token:
+//  * Spawned actors (ActorGroup::Spawn) are fibers: each has its own 8 MiB
+//    lazily-committed stack, and all of a clock's fibers run on one carrier
+//    thread, started at the clock's first Spawn and joined when the clock is
+//    destroyed. Handing the token from one fiber to another is a user-space
+//    context switch, not a kernel thread hand-off.
+//  * OS threads take part by calling RegisterActor (a bench's main thread),
+//    or as "guests": a thread that never registered but blocks on the clock
+//    (e.g. a test main joining a group) joins the actor set for the duration
+//    of that block. Threads receive the token through a condition variable.
+//    A thread that is neither registered nor blocked runs outside the token
+//    and may interleave with actors in real time; fully deterministic phases
+//    must be driven by a registered thread or by spawned actors.
 //
 // Rules for actor code:
-//  * Short critical sections may use plain std::mutex (the holder is running,
-//    so real-time blocking is invisible to virtual time).
+//  * Short critical sections may use plain mutexes, but no lock may be held
+//    across a block on the clock: the next actor may need it, and on the
+//    shared carrier thread it would wait for itself. Under the lock-order
+//    graph (VEDB_LOCK_ORDER=1) blocking while holding a vedb::Mutex aborts.
 //  * Any wait whose release depends on another actor making progress in
 //    virtual time (row locks held across I/O, group-commit waits, RPC
-//    completions) must use VirtualCondition, otherwise the clock deadlocks
-//    (and aborts with a diagnostic).
+//    completions, joining actors) must use VirtualCondition or SleepFor;
+//    a real-time wait inside a fiber stalls every actor of its clock.
 //  * Never spin on shared state waiting for another actor without blocking
 //    through the clock — the spinner holds the run token forever.
+//  * Per-actor state uses ActorLocal (sim/actor_local.h), not thread_local.
 
 #ifndef VEDB_SIM_CLOCK_H_
 #define VEDB_SIM_CLOCK_H_
@@ -33,50 +46,47 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "common/units.h"
+#include "sim/actor_local.h"
 #include "sim/race_detector.h"
 
 namespace vedb::sim {
 
+class ActorGroup;
 class VirtualCondition;
 
 /// The global virtual clock for one simulation. Thread safe. Wakeups are
-/// targeted (per-actor condition variables), so large actor counts do not
-/// cause a thundering herd on every advance.
+/// targeted (a fiber switch or a per-thread condition variable), so large
+/// actor counts do not cause a thundering herd on every advance.
 class VirtualClock {
  public:
-  VirtualClock() = default;
+  VirtualClock();
+  /// Joins the carrier thread. Every ActorGroup of this clock must have
+  /// been joined (destroyed) first.
+  ~VirtualClock();
   VirtualClock(const VirtualClock&) = delete;
   VirtualClock& operator=(const VirtualClock&) = delete;
 
   /// Current virtual time in nanoseconds.
   Timestamp Now() const;
 
-  /// Declares the calling thread an actor. Every actor must either be
+  /// Declares the calling OS thread an actor. Every actor must either be
   /// runnable or blocked through this clock; the clock only advances when
   /// all actors are blocked. Blocks until the scheduler grants the calling
-  /// thread the run token.
+  /// thread the run token. Spawned actors are actors already and must not
+  /// call this.
   void RegisterActor();
 
   /// Removes the calling thread from the actor set (call before exit).
   void UnregisterActor();
-
-  /// Reserves an actor slot before the actor thread starts running, so the
-  /// clock cannot advance past the new actor's birth. Returns an admission
-  /// ticket: reserved actors enter the ready queue in ticket order (i.e.
-  /// spawn order), regardless of the real-time order their threads start.
-  /// The spawned thread must call BindReservedActor(ticket) instead of
-  /// RegisterActor().
-  uint64_t ReserveActor();
-  void BindReservedActor(uint64_t ticket);
 
   /// Blocks the calling actor until virtual time reaches `t`.
   void SleepUntil(Timestamp t);
@@ -84,40 +94,18 @@ class VirtualClock {
   /// Blocks the calling actor for `d` virtual nanoseconds.
   void SleepFor(Duration d);
 
-  /// Number of registered actors (for tests).
-  int actor_count() const;
-
-  /// True if the calling thread is a registered actor of this clock.
-  static bool CurrentThreadIsActor();
-
-  /// Declares the calling actor blocked on something outside virtual time
-  /// (e.g. joining a thread). While any external wait is active the clock
-  /// may advance without it, and an otherwise-idle clock simply parks
-  /// instead of declaring deadlock. Construct/destroy from the same thread.
-  class ExternalWaitScope {
-   public:
-    explicit ExternalWaitScope(VirtualClock* clock);
-    ~ExternalWaitScope();
-
-   private:
-    VirtualClock* clock_;  // nullptr when the thread is not an actor
-  };
-
  private:
+  friend class ActorGroup;
   friend class VirtualCondition;
+  friend void** internal::ActorLocalCell(int key, void (*destroy)(void*));
 
-  // Per-actor parking slot. Lives in thread-local storage; an actor is only
-  // ever blocked on its own slot. `seq` increments on every block so stale
-  // timer entries from earlier blocks can be recognized and skipped.
-  // `runnable` means "holds the run token, may execute"; `ready` means
-  // "logically woken, queued for the token".
-  struct ActorSlot {
-    std::condition_variable cv;
-    bool runnable = true;
-    bool ready = false;
-    uint64_t seq = 0;
-  };
-  static ActorSlot* Slot();
+  // One actor's parking slot and per-actor state (defined in clock.cc). An
+  // actor is only ever blocked on its own slot.
+  struct ActorSlot;
+  // A spawned actor: slot, stack and saved context.
+  struct Fiber;
+  // The carrier thread and its scheduler context.
+  struct Carrier;
 
   struct SleepEntry {
     Timestamp wake;
@@ -127,20 +115,47 @@ class VirtualClock {
   };
 
   // All state below guarded by mu_.
-  bool EntryStaleLocked(const SleepEntry& e) const {
-    return e.slot->runnable || e.slot->ready || e.slot->seq != e.seq;
-  }
+  bool EntryStaleLocked(const SleepEntry& e) const;
   /// The scheduler: hands the run token to the next ready actor, or — when
   /// nothing is ready and every actor is blocked — advances virtual time
   /// and readies the due sleepers. No-op while the token is held.
   void ScheduleLocked();
-  /// Enqueues the calling thread's slot as ready and blocks until the
-  /// scheduler grants it the run token.
-  void AwaitTokenLocked(std::unique_lock<std::mutex>& lk, ActorSlot* slot);
+  /// Makes `slot` the token holder and wakes its thread or carrier.
+  void GrantLocked(ActorSlot* slot);
+  /// Waits until `slot` holds the token: a thread waits on its condition
+  /// variable, a fiber switches to whichever context runs next.
+  void WaitForTokenLocked(std::unique_lock<std::mutex>& lk, ActorSlot* slot);
   /// Blocks the current actor; if `deadline` is non-null a timer entry is
   /// registered too.
   void BlockCurrentLocked(std::unique_lock<std::mutex>& lk, ActorSlot* slot,
                           const Timestamp* deadline = nullptr);
+  /// Parks the current actor on `cond` (and on a timer if `deadline` is
+  /// non-null) until a notify or the deadline wakes it.
+  void ParkLocked(std::unique_lock<std::mutex>& lk, VirtualCondition* cond,
+                  const Timestamp* deadline);
+  /// Readies every actor parked on `cond`.
+  void WakeAllLocked(VirtualCondition* cond);
+
+  /// The fiber running on the calling thread (null outside fibers).
+  static Fiber*& CurrentFiber();
+  /// The calling actor's slot: the running fiber's, else the thread's own.
+  static ActorSlot* CurrentSlot();
+
+  /// Creates a fiber for `fn` owned by `group`; not yet admitted.
+  Fiber* NewFiber(std::function<void()> fn, ActorGroup* group);
+  /// Starts the carrier thread on first use.
+  void EnsureCarrierLocked();
+  /// The carrier thread's body: resumes whichever fiber holds the token,
+  /// reaps finished fibers, idles otherwise.
+  void CarrierLoop();
+  /// Entry point of every fiber (makecontext target).
+  static void FiberMain();
+  /// Body of every fiber; never returns.
+  [[noreturn]] void RunFiber(Fiber* fiber);
+  /// Frees a finished fiber and hands its token on (carrier context).
+  void ReapLocked(Fiber* fiber);
+  /// Drops timer entries that point at `slot` (its owner is going away).
+  void PurgeSleepersLocked(const ActorSlot* slot);
 
   // Conditions with parked waiters (diagnostics for deadlock reports).
   std::set<VirtualCondition*> parked_conditions_;
@@ -152,24 +167,21 @@ class VirtualClock {
   mutable std::mutex mu_;
   Timestamp now_ = 0;
   int actors_ = 0;
-  int blocked_ = 0;         // actors currently sleeping/parked/external
-  int external_waits_ = 0;  // subset of blocked_: waiting outside the clock
+  int blocked_ = 0;  // actors currently sleeping/parked
+  int fibers_ = 0;   // live spawned actors (a subset of actors_)
   ActorSlot* runner_ = nullptr;   // holder of the run token, if any
   std::deque<ActorSlot*> ready_;  // woken actors awaiting the token, FIFO
-  // Actors returning from an ExternalWaitScope. Served before ready_ and
-  // exempt from the reserved-actor admission gate: a rejoiner may be the
-  // very thread that must call ActorGroup::Start() to open that gate.
-  std::deque<ActorSlot*> rejoiners_;
-  // Spawned-but-not-yet-admitted actors. Bound slots buffer here and are
-  // flushed into ready_ in ticket order at the next dispatch, so the
-  // real-time order in which spawned threads start cannot perturb the
-  // schedule.
-  std::vector<std::pair<uint64_t, ActorSlot*>> pending_bind_;
-  int reserved_unbound_ = 0;  // reservations whose thread has not bound yet
+  // Spawned-but-not-yet-admitted actors. They are flushed into ready_ in
+  // ticket (spawn) order at the next dispatch.
+  std::vector<std::pair<uint64_t, ActorSlot*>> pending_admission_;
+  // Actors spawned into groups that have not been started; dispatch is
+  // held while any exist (see ActorGroup).
+  int gated_actors_ = 0;
   uint64_t next_ticket_ = 1;
   std::priority_queue<SleepEntry, std::vector<SleepEntry>,
                       std::greater<SleepEntry>>
       sleepers_;
+  std::unique_ptr<Carrier> carrier_;  // created at the first Spawn
 };
 
 /// An eventcount-style condition integrated with the virtual clock: parked
@@ -269,37 +281,44 @@ class VirtualCondition {
   std::vector<VirtualClock::ActorSlot*> parked_;
 };
 
-/// Spawns actor threads bound to a clock and joins them on destruction.
+/// Spawns actors (fibers on the clock's carrier thread) and joins them on
+/// destruction.
 ///
-/// Threads spawned before Start() is called are held at a gate so that a
-/// non-actor coordinator (e.g. a test's main thread) can spawn several
-/// actors without the first one racing virtual time ahead of the others.
-/// JoinAll()/destruction call Start() implicitly. Threads spawned after
-/// Start() begin immediately, which is safe when the spawner is itself a
-/// running actor (the clock cannot advance while it runs).
+/// Actors spawned before Start() are held at a gate: while any are held the
+/// clock dispatches no one, so a coordinator (e.g. a test's main thread) can
+/// spawn several actors without the first one racing virtual time ahead of
+/// the others. JoinAll()/destruction call Start() implicitly. Actors spawned
+/// after Start() are admitted at once; they enter the ready queue in spawn
+/// order at the next dispatch, which is deterministic when the spawner is
+/// itself a running actor (the clock cannot advance while it runs).
 class ActorGroup {
  public:
-  explicit ActorGroup(VirtualClock* clock) : clock_(clock) {}
+  explicit ActorGroup(VirtualClock* clock);
   ~ActorGroup() { JoinAll(); }
+  ActorGroup(const ActorGroup&) = delete;
+  ActorGroup& operator=(const ActorGroup&) = delete;
 
-  /// Creates a new actor thread running `fn`. The actor slot is reserved
-  /// immediately, so the clock cannot race past the new actor's birth.
+  /// Creates a new actor running `fn`. The actor is counted immediately,
+  /// so the clock cannot race past its birth.
   void Spawn(std::function<void()> fn);
 
-  /// Opens the gate: all previously spawned threads begin running.
+  /// Opens the gate: all previously spawned actors are admitted.
   void Start();
 
-  /// Opens the gate if needed and joins every spawned thread.
+  /// Opens the gate if needed and parks the caller (in virtual time) until
+  /// every spawned actor has exited. May be called from any actor or
+  /// thread except one of this group's own actors.
   void JoinAll();
 
  private:
+  friend class VirtualClock;
+
   VirtualClock* clock_;
-  // Waiver(thread-annotations): gate state waits on a real (not virtual)
-  // condition_variable, which requires std::unique_lock<std::mutex>.
-  std::mutex mu_;
-  std::condition_variable start_cv_;
+  VirtualCondition exited_;
+  // Guarded by clock_->mu_:
   bool started_ = false;
-  std::vector<std::thread> threads_;
+  int live_ = 0;  // spawned actors not yet reaped
+  std::vector<std::pair<uint64_t, VirtualClock::ActorSlot*>> gated_;
 };
 
 }  // namespace vedb::sim

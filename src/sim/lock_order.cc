@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/thread_annotations.h"
+#include "sim/actor_local.h"
 #include "sim/race_detector.h"
 
 namespace vedb::sim {
@@ -16,16 +17,19 @@ std::atomic<bool> LockOrderGraph::enabled_{false};
 
 namespace {
 
-// Per-thread stack of currently held vedb::Mutex instances. Only the owning
-// thread touches its stack, so no lock is needed; the epoch tag discards
+// Per-actor stack of currently held vedb::Mutex instances. Only the owning
+// actor touches its stack, so no lock is needed; the epoch tag discards
 // state left over from before the last Enable().
 struct HeldLock {
   const void* mu;
   std::string cls;
   std::string site;
 };
-thread_local std::vector<HeldLock> tls_held;
-thread_local uint64_t tls_held_gen = 0;
+struct HeldStack {
+  std::vector<HeldLock> locks;
+  uint64_t gen = 0;
+};
+ActorLocal<HeldStack> actor_held;
 
 std::string Basename(const char* file) {
   const char* slash = std::strrchr(file, '/');
@@ -60,46 +64,65 @@ void LockOrderGraph::ResetLocked() {
   edges_.clear();
 }
 
+namespace {
+
+// The calling actor's held stack, emptied if it predates the last Enable().
+// Returns true if the stack was current.
+bool CurrentHeld(uint64_t gen, std::vector<HeldLock>** held) {
+  HeldStack& mine = actor_held.Get();
+  *held = &mine.locks;
+  if (mine.gen == gen) return true;
+  mine.locks.clear();
+  mine.gen = gen;
+  return false;
+}
+
+std::string RenderHeld(const std::vector<HeldLock>& held) {
+  std::string stack;
+  for (const HeldLock& h : held) {
+    if (!stack.empty()) stack += ", ";
+    stack += h.cls + "@" + h.site;
+  }
+  return stack;
+}
+
+}  // namespace
+
 void LockOrderGraph::OnAcquire(const void* mu, const char* cls,
                                const char* file, int line) {
-  const uint64_t gen = epoch_gen_.load(std::memory_order_relaxed);
-  if (tls_held_gen != gen) {
-    tls_held.clear();
-    tls_held_gen = gen;
-  }
+  std::vector<HeldLock>* held = nullptr;
+  CurrentHeld(epoch_gen_.load(std::memory_order_relaxed), &held);
   const std::string site = Site(file, line);
-  if (!tls_held.empty()) {
+  if (!held->empty()) {
     // Render the held stack once; shared by every edge this acquisition adds.
-    std::string stack;
-    for (const HeldLock& h : tls_held) {
-      if (!stack.empty()) stack += ", ";
-      stack += h.cls + "@" + h.site;
-    }
+    const std::string stack = RenderHeld(*held);
     std::lock_guard<std::mutex> lk(mu_);
-    for (const HeldLock& h : tls_held) {
+    for (const HeldLock& h : *held) {
       if (h.cls == cls) continue;  // same-class nesting: not an order edge
       edges_[{h.cls, cls}].sites.insert(h.cls + "@" + h.site + " -> " + cls +
                                         "@" + site + " [held: " + stack + "]");
     }
   }
-  tls_held.push_back(HeldLock{mu, cls, site});
+  held->push_back(HeldLock{mu, cls, site});
 }
 
 void LockOrderGraph::OnRelease(const void* mu) {
-  const uint64_t gen = epoch_gen_.load(std::memory_order_relaxed);
-  if (tls_held_gen != gen) {
-    tls_held.clear();
-    tls_held_gen = gen;
-    return;
-  }
+  std::vector<HeldLock>* held = nullptr;
+  if (!CurrentHeld(epoch_gen_.load(std::memory_order_relaxed), &held)) return;
   // Locks are almost always released LIFO; search from the top for the
   // occasional out-of-order release (relockable MutexLock patterns).
-  for (auto it = tls_held.rbegin(); it != tls_held.rend(); ++it) {
+  for (auto it = held->rbegin(); it != held->rend(); ++it) {
     if (it->mu == mu) {
-      tls_held.erase(std::next(it).base());
+      held->erase(std::next(it).base());
       return;
     }
   }
+}
+
+std::string LockOrderGraph::CurrentActorHeld() const {
+  std::vector<HeldLock>* held = nullptr;
+  CurrentHeld(epoch_gen_.load(std::memory_order_relaxed), &held);
+  return RenderHeld(*held);
 }
 
 uint64_t LockOrderGraph::edge_count() const {

@@ -59,6 +59,11 @@ class LockOrderGraph {
   void OnAcquire(const void* mu, const char* cls, const char* file, int line);
   void OnRelease(const void* mu);
 
+  /// The vedb::Mutex locks the calling actor holds, innermost last, as
+  /// "class@file:line, ..." (empty when it holds none). The virtual clock
+  /// checks this is empty whenever an actor blocks.
+  std::string CurrentActorHeld() const;
+
   /// Declares the one-way order contract `before` -> `after` (e.g.
   /// "topic.partition" -> "astore.ring"): code may acquire `after` while
   /// holding `before`, never the reverse. Contract edges participate in the

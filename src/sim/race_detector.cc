@@ -1,6 +1,7 @@
 #include "sim/race_detector.h"
 
 #include "common/logging.h"
+#include "sim/actor_local.h"
 #include "sim/lock_order.h"
 
 namespace vedb::sim {
@@ -8,10 +9,13 @@ namespace vedb::sim {
 std::atomic<bool> RaceDetector::enabled_{false};
 
 namespace {
-// Cached per-thread id, invalidated when the detector's generation moves
+// Cached per-actor id, invalidated when the detector's generation moves
 // (Enable() starts a fresh epoch so stale ids from earlier tests vanish).
-thread_local int tls_tid = -1;
-thread_local uint64_t tls_tid_gen = 0;
+struct ActorTid {
+  int tid = -1;
+  uint64_t gen = 0;
+};
+ActorLocal<ActorTid> actor_tid;
 }  // namespace
 
 RaceDetector& RaceDetector::Instance() {
@@ -46,12 +50,13 @@ void RaceDetector::ResetLocked() {
 }
 
 int RaceDetector::CurrentTidLocked() {
-  if (tls_tid < 0 || tls_tid_gen != epoch_gen_) {
-    tls_tid = next_tid_++;
-    tls_tid_gen = epoch_gen_;
-    threads_[tls_tid].vc[tls_tid] = 1;  // epoch starts at 1
+  ActorTid& mine = actor_tid.Get();
+  if (mine.tid < 0 || mine.gen != epoch_gen_) {
+    mine.tid = next_tid_++;
+    mine.gen = epoch_gen_;
+    threads_[mine.tid].vc[mine.tid] = 1;  // epoch starts at 1
   }
-  return tls_tid;
+  return mine.tid;
 }
 
 RaceDetector::ThreadState& RaceDetector::StateLocked(int tid) {

@@ -267,19 +267,21 @@ Result<std::unique_ptr<Topic>> Topic::Recover(astore::AStoreClient* client,
     auto part = std::make_unique<Partition>();
     // Old segments stay readable in place through the locator index; new
     // produces go to a fresh ring.
+    // Open the segments before taking the partition lock: OpenSegment is
+    // an RPC, and no lock may be held across a block on the clock.
     std::map<astore::SegmentId, astore::SegmentHandlePtr> handles;
+    for (const auto& loc : rec.locations) {
+      if (handles.count(loc.segment) != 0) continue;
+      VEDB_ASSIGN_OR_RETURN(astore::SegmentHandlePtr seg,
+                            client->OpenSegment(loc.segment));
+      handles.emplace(loc.segment, std::move(seg));
+    }
     {
       vedb::MutexLock lk(&part->mu);
       part->next_lsn = std::max<uint64_t>(1, rec.next_lsn);
       for (const auto& loc : rec.locations) {
-        auto it = handles.find(loc.segment);
-        if (it == handles.end()) {
-          VEDB_ASSIGN_OR_RETURN(astore::SegmentHandlePtr seg,
-                                client->OpenSegment(loc.segment));
-          it = handles.emplace(loc.segment, std::move(seg)).first;
-        }
         part->index[loc.lsn] =
-            Locator{it->second, loc.offset, loc.payload_size};
+            Locator{handles.at(loc.segment), loc.offset, loc.payload_size};
       }
     }
     VEDB_ASSIGN_OR_RETURN(part->ring,

@@ -122,9 +122,8 @@ ChaosCampaignResult RunCmFailoverChaos(const ChaosCampaignOptions& options) {
     // test thread would make the snapshot nondeterministic).
     background.Spawn([&] {
       env.clock()->SleepUntil(options.shutdown_at);
-      // Flag EVERY loop first, then drain: each drain is a real-time wait,
-      // and an unflagged health loop free-running through one would take a
-      // wall-clock-dependent number of extra ticks.
+      // Flag EVERY loop first, then drain: each drain parks in virtual
+      // time, and an unflagged health loop would keep ticking through it.
       client->Shutdown();
       for (auto& cm : cms) cm->RequestShutdown();
       for (auto& cm : cms) cm->Shutdown();

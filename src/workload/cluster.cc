@@ -166,9 +166,8 @@ void VedbCluster::StartBackground() {
 
 void VedbCluster::Shutdown() {
   if (!background_started_) return;
-  // Flag everything first, then drain the CMs: a CM drain is a real-time
-  // wait, and any loop not yet flagged would free-run virtual time through
-  // it nondeterministically.
+  // Flag everything first, then drain the CMs: a CM drain parks in virtual
+  // time, and any loop not yet flagged would keep ticking through it.
   for (auto& server : astore_servers_) server->Shutdown();
   for (auto& cm : cms_) cm->RequestShutdown();
   pagestore_->Shutdown();

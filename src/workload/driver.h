@@ -32,8 +32,10 @@ struct LoadResult {
 };
 
 /// Runs `clients` concurrent actors, each looping `op(client_id)` until
-/// `duration` of virtual time passes (after `warmup`). Caller must NOT be a
-/// registered actor busy elsewhere; this call blocks until the run ends.
+/// `duration` of virtual time passes (after `warmup`). Blocks (in virtual
+/// time) until the run ends. Call it from a registered thread or an actor:
+/// from an unregistered thread, background actors run in real time while
+/// the clients are being spawned.
 inline LoadResult RunClosedLoop(
     sim::SimEnvironment* env, int clients, Duration warmup, Duration duration,
     const std::function<Status(int client)>& op) {
@@ -43,11 +45,9 @@ inline LoadResult RunClosedLoop(
   const Timestamp measure_start = t0 + warmup;
   const Timestamp end = measure_start + duration;
   {
-    // NOTE: no ExternalWaitScope here — while spawning, the gated client
-    // threads hold unblocked actor reservations, which freezes the clock
-    // until JoinAll (inside the group destructor) opens the gate. Declaring
-    // the caller externally-blocked during spawning would instead let
-    // background actors free-run virtual time past the measurement window.
+    // While spawning, the gated clients hold unadmitted actor
+    // reservations, which freezes the clock until JoinAll (inside the group
+    // destructor) opens the gate and parks the caller in virtual time.
     sim::ActorGroup group(env->clock());
     for (int i = 0; i < clients; ++i) {
       group.Spawn([&, i] {

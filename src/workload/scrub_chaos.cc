@@ -245,8 +245,8 @@ ScrubChaosResult RunScrubChaos(const ScrubChaosOptions& options) {
     });
 
     // Teardown at a FIXED virtual time: flag every loop first, then drain
-    // (a drain is a real-time wait; an unflagged loop free-running through
-    // one would take a wall-clock-dependent number of extra ticks).
+    // (a drain parks in virtual time; an unflagged loop would keep ticking
+    // through it).
     background.Spawn([&] {
       env.clock()->SleepUntil(options.shutdown_at);
       client->Shutdown();

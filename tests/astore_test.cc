@@ -732,7 +732,6 @@ TEST_F(AStoreTest, ConcurrentClientsCreateWriteReadIndependently) {
   std::atomic<int> failures{0};
   {
     sim::ActorGroup group(env_.clock());
-    sim::VirtualClock::ExternalWaitScope wait(env_.clock());
     for (int c = 0; c < kClients; ++c) {
       group.Spawn([&, c] {
         AStoreClient client(&env_, rpc_.get(), fabric_.get(), cm_node_,

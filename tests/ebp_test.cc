@@ -274,7 +274,6 @@ TEST_F(EbpTest, IndexLockSerializesConcurrentAccess) {
     std::atomic<uint64_t> total_latency{0};
     {
       sim::ActorGroup group(env_.clock());
-      sim::VirtualClock::ExternalWaitScope wait(env_.clock());
       for (int c = 0; c < clients; ++c) {
         group.Spawn([&] {
           std::string image;

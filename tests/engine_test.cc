@@ -32,8 +32,8 @@ class EngineTest : public ::testing::Test {
     opts.astore_log.ring.segment_size = 256 * kKiB;
     opts.astore_log.ring.ring_size = 4;
     cluster_ = std::make_unique<VedbCluster>(opts);
-    cluster_->StartBackground();
     env()->clock()->RegisterActor();
+    cluster_->StartBackground();
   }
   void TearDown() override {
     env()->clock()->UnregisterActor();
@@ -301,7 +301,6 @@ TEST_F(EngineTest, HotRowUpdatesSerialize) {
   std::atomic<int> failures{0};
   {
     sim::ActorGroup group(env()->clock());
-    sim::VirtualClock::ExternalWaitScope wait(env()->clock());
     for (int i = 0; i < kThreads; ++i) {
       group.Spawn([&] {
         for (int j = 0; j < kPerThread; ++j) {
@@ -333,7 +332,6 @@ TEST_F(EngineTest, DeadlockResolvedByAbort) {
   std::atomic<int> done{0};
   {
     sim::ActorGroup group(env()->clock());
-    sim::VirtualClock::ExternalWaitScope wait(env()->clock());
     for (int dir = 0; dir < 2; ++dir) {
       group.Spawn([&, dir] {
         Status s = engine()->RunTransaction(
@@ -388,8 +386,8 @@ TEST(EngineChurnTest, WorkingSetLargerThanBufferPoolStillCorrect) {
   opts.astore_log.ring.ring_size = 4;
   opts.engine.buffer_pool.capacity_pages = 32;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   Table* t = cluster.engine()->CreateTable("accounts", AccountSchema());
   std::vector<Row> rows;
@@ -428,8 +426,8 @@ TEST_F(EngineCrashTest, CommittedDataSurvivesEngineCrash) {
   opts.astore_log.ring.segment_size = 256 * kKiB;
   opts.astore_log.ring.ring_size = 4;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   DeclareCatalog(cluster.engine());
   Table* t = cluster.engine()->GetTable("accounts");
@@ -482,8 +480,8 @@ TEST(EbpWarmupTest, RecoveryWarmupPreloadsHotPages) {
   opts.engine.buffer_pool.capacity_pages = 24;
   opts.astore_server.pmem_capacity = 128 * kMiB;
   workload::VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   auto declare = [](DBEngine* engine) {
     Schema s;

@@ -35,8 +35,8 @@ TEST(IntegrationTest, TpccSurvivesAStoreNodeFailureMidRun) {
   opts.astore_nodes = 4;  // spare capacity for reopened segments
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   TpccScale scale;
   scale.warehouses = 2;
@@ -75,8 +75,8 @@ TEST(IntegrationTest, TpccInvariantsHoldAcrossEngineCrash) {
   ClusterOptions opts;
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   TpccScale scale;
   scale.warehouses = 2;
@@ -156,8 +156,8 @@ TEST(IntegrationTest, ShadowVerifiedRandomWorkloadThroughEbp) {
   opts.engine.buffer_pool.capacity_pages = 16;
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   Table* table = cluster.engine()->CreateTable("kv", KvSchema());
   std::map<int64_t, int64_t> shadow;
@@ -220,8 +220,8 @@ TEST(IntegrationTest, ShadowVerifiedRandomWorkloadThroughEbp) {
 TEST(IntegrationTest, TransientShipFailuresAreRetried) {
   ClusterOptions opts;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   Table* table = cluster.engine()->CreateTable("kv", KvSchema());
   // 20% of PageStore ship batches fail transiently for a while.
@@ -288,8 +288,8 @@ TEST(StandbyTest, ServesReadsAndRejectsWrites) {
   opts.engine.buffer_pool.capacity_pages = 32;
   opts.astore_server.pmem_capacity = 128 * kMiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   auto declare = [](engine::DBEngine* engine) {
     engine->CreateTable("kv", KvSchema());

@@ -279,5 +279,55 @@ TEST(LockOrderTest, ContractConformingOrderStaysClean) {
   EXPECT_EQ(graph.CycleCount(), 0u) << graph.Report();
 }
 
+TEST(LockOrderDeathTest, BlockingWhileHoldingAMutexAborts) {
+  // A lock held across a block on the clock is a latent clock deadlock: the
+  // next actor that needs it waits for an actor that cannot run (on the
+  // shared carrier thread, for itself). Under the graph the clock refuses
+  // such a block outright and names the held lock.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ScopedGraph g;
+        VirtualClock clock;
+        vedb::Mutex planted("test.planted");
+        ActorGroup group(&clock);
+        group.Spawn([&] {
+          vedb::MutexLock lk(&planted);
+          clock.SleepFor(10);
+        });
+        group.JoinAll();
+      },
+      "holding vedb::Mutex: test.planted@lock_order_test.cc");
+}
+
+TEST(LockOrderTest, ReleasingBeforeBlockingIsAccepted) {
+  // The conforming shape of the same actor: the critical section ends
+  // before the sleep, and VirtualCondition::Wait(vedb::Mutex*) drops its
+  // mutex while parked.
+  VirtualClock clock;
+  ScopedGraph g;
+  vedb::Mutex mu("test.released");
+  VirtualCondition cond(&clock, "test.released");
+  bool ready = false;
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] {
+      { vedb::MutexLock lk(&mu); }
+      clock.SleepFor(10);
+      vedb::MutexLock lk(&mu);
+      cond.Wait(&mu, [&] { return ready; });
+    });
+    group.Spawn([&] {
+      clock.SleepFor(20);
+      {
+        vedb::MutexLock lk(&mu);
+        ready = true;
+      }
+      cond.NotifyAll();
+    });
+  }
+  EXPECT_EQ(clock.Now(), 20u);
+}
+
 }  // namespace
 }  // namespace vedb::sim

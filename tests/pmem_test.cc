@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
+#include <fstream>
 #include <string>
 
+#include "common/units.h"
 #include "pmem/pmem_device.h"
 
 namespace vedb::pmem {
@@ -95,6 +100,43 @@ TEST(PmemDeviceTest, PersistAllDrainsEverything) {
   ASSERT_TRUE(dev.WriteFromRemote(50, Slice("y")).ok());
   dev.PersistAll();
   EXPECT_EQ(dev.PendingRangeCount(), 0u);
+}
+
+// Resident set size of this process (statm's second field, in pages).
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(PmemDeviceTest, MemoryIsCommittedOnlyWhereWritten) {
+  // A device reserves its whole capacity but commits only written pages,
+  // so large simulated PMem costs host memory in proportion to its use.
+  constexpr uint64_t kCapacity = 512 * kMiB;
+  const std::string payload(4096, 'x');
+  const uint64_t offsets[] = {0, 100 * kMiB + 17, 256 * kMiB,
+                              kCapacity - payload.size()};
+  const uint64_t before = ResidentBytes();
+  PmemDevice dev(kCapacity, /*ddio_enabled=*/false);
+  for (uint64_t offset : offsets) {
+    ASSERT_TRUE(dev.WriteLocal(offset, Slice(payload)).ok());
+  }
+  // Every byte reads back as written, zero everywhere else.
+  std::string chunk(kMiB, '\1');
+  std::string expected(kMiB, '\0');
+  for (uint64_t base = 0; base < kCapacity; base += kMiB) {
+    std::fill(expected.begin(), expected.end(), '\0');
+    for (uint64_t offset : offsets) {
+      const uint64_t lo = std::max(offset, base);
+      const uint64_t hi = std::min(offset + payload.size(), base + kMiB);
+      if (lo < hi) std::fill_n(expected.begin() + (lo - base), hi - lo, 'x');
+    }
+    ASSERT_TRUE(dev.Read(base, kMiB, chunk.data()).ok());
+    ASSERT_EQ(std::memcmp(chunk.data(), expected.data(), kMiB), 0)
+        << "MiB at offset " << base;
+  }
+  EXPECT_LT(ResidentBytes(), before + 32 * kMiB);
 }
 
 }  // namespace

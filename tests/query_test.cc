@@ -43,8 +43,8 @@ class QueryTest : public ::testing::Test {
                                    cluster_->env()->GetNode("ps-2")},
         cluster_->astore_servers(), PushdownRuntime::Options{});
     pushdown_->AttachEbp(cluster_->ebp());
-    cluster_->StartBackground();
     cluster_->env()->clock()->RegisterActor();
+    cluster_->StartBackground();
 
     table_ = cluster_->engine()->CreateTable("sales", SalesSchema());
     std::vector<engine::Row> rows;
@@ -262,6 +262,65 @@ TEST_F(QueryTest, CostBasedPushdownSkipsResidentTables) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(ctx.cost_based_pushed, 1u);
   EXPECT_EQ((*result)[0][0].AsInt(), kRows);
+}
+
+// One push-down aggregation on a freshly built cluster of the fixture's
+// shape (EBP off, so one fragment runs on each PageStore node).
+struct PushdownRun {
+  Duration latency = 0;
+  uint64_t tasks = 0;
+};
+
+PushdownRun RunOnePushdownQuery() {
+  ClusterOptions opts;
+  opts.astore_server.pmem_capacity = 64 * kMiB;
+  opts.astore_log.ring.segment_size = 256 * kKiB;
+  opts.astore_log.ring.ring_size = 4;
+  opts.engine.buffer_pool.capacity_pages = 12;
+  VedbCluster cluster(opts);
+  sim::SimEnvironment* env = cluster.env();
+  PushdownRuntime pushdown(
+      env, cluster.rpc(), cluster.pagestore(),
+      std::vector<sim::SimNode*>{env->GetNode("ps-0"), env->GetNode("ps-1"),
+                                 env->GetNode("ps-2")},
+      cluster.astore_servers(), PushdownRuntime::Options{});
+  env->clock()->RegisterActor();
+  cluster.StartBackground();
+
+  Table* table = cluster.engine()->CreateTable("sales", SalesSchema());
+  std::vector<engine::Row> rows;
+  for (int i = 0; i < 4000; ++i) {
+    rows.push_back({Value(i), Value(i % 8), Value(i * 0.5),
+                    Value(std::string(150, 'p'))});
+  }
+  EXPECT_TRUE(table->BulkLoad(rows).ok());
+  ExecContext ctx;
+  ctx.engine = cluster.engine();
+  ctx.pushdown = &pushdown;
+  ctx.enable_pushdown = true;
+  ctx.pushdown_row_threshold = 100;
+  auto scan = std::make_unique<ScanNode>(table, nullptr);
+  scan->SetAggregation({1}, {AggSpec::Count(), AggSpec::Sum(Expr::Col(2))});
+  PushdownRun run;
+  const Timestamp start = env->clock()->Now();
+  EXPECT_TRUE(scan->Execute(&ctx).ok());
+  run.latency = env->clock()->Now() - start;
+  run.tasks = ctx.pushdown_tasks;
+
+  cluster.Shutdown();
+  env->clock()->UnregisterActor();
+  return run;
+}
+
+TEST(PushdownDeterminismTest, IdenticalClustersInOneProcessAgree) {
+  // The scatter order of push-down tasks must follow node names, not heap
+  // addresses: two identical clusters give the same virtual latency (the
+  // second one is built in memory the first one freed).
+  const PushdownRun first = RunOnePushdownQuery();
+  const PushdownRun second = RunOnePushdownQuery();
+  EXPECT_EQ(first.tasks, 3u);
+  EXPECT_EQ(first.tasks, second.tasks);
+  EXPECT_EQ(first.latency, second.latency);
 }
 
 }  // namespace

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "astore/client.h"
+#include "astore/cluster_manager.h"
+#include "astore/scrubber.h"
+#include "astore/server.h"
 #include "common/units.h"
+#include "net/rdma.h"
+#include "net/rpc.h"
 #include "sim/clock.h"
 #include "sim/device.h"
 #include "sim/env.h"
@@ -398,7 +407,7 @@ TEST(VirtualConditionTest, TeardownNotifyFromNonActorWhilePollersExit) {
   }
 }
 
-TEST(VirtualClockTest, ExternalWaitLetsOthersAdvance) {
+TEST(VirtualClockTest, JoinAllFromRegisteredThreadLetsOthersAdvance) {
   VirtualClock clock;
   clock.RegisterActor();
   Timestamp worker_end = 0;
@@ -408,11 +417,229 @@ TEST(VirtualClockTest, ExternalWaitLetsOthersAdvance) {
       clock.SleepFor(5000);
       worker_end = clock.Now();
     });
-    // JoinAll (inside the destructor) declares this registered actor
-    // externally blocked, so the worker's sleeps can advance the clock.
+    // JoinAll (inside the destructor) parks this registered thread in
+    // virtual time, so the worker's sleeps can advance the clock.
   }
   EXPECT_EQ(worker_end, 5000u);
+  EXPECT_EQ(clock.Now(), 5000u);  // the last exit readied the joiner
   clock.UnregisterActor();
+}
+
+// The schedule of sleepers, condition waiters, a notifier that spawns a
+// child, and a registered main thread, all meeting at the same virtual
+// instants. The log is the order the scheduler ran them in.
+std::vector<std::string> RunMixedSchedule() {
+  VirtualClock clock;
+  std::mutex mu;
+  std::vector<std::string> log;
+  auto note = [&](const std::string& who) {
+    std::lock_guard<std::mutex> lk(mu);
+    log.push_back(who + "@" + std::to_string(clock.Now()));
+  };
+  VirtualCondition cond(&clock, "mixed");
+  bool open = false;  // guarded by mu
+  clock.RegisterActor();
+  {
+    ActorGroup group(&clock);
+    for (int i = 0; i < 3; ++i) {
+      group.Spawn([&, i] {
+        const std::string me = "s" + std::to_string(i);
+        note(me);
+        if (i == 1) clock.SleepFor(50);
+        clock.SleepFor(i == 1 ? 50 : 100);
+        note(me);
+        clock.SleepFor(0);
+        note(me);
+      });
+    }
+    for (int i = 0; i < 2; ++i) {
+      group.Spawn([&, i] {
+        const std::string me = "w" + std::to_string(i);
+        note(me);
+        {
+          std::unique_lock<std::mutex> lk(mu);
+          cond.Wait(lk, [&] { return open; });
+        }
+        note(me);
+        clock.SleepFor(25);
+        note(me);
+      });
+    }
+    group.Spawn([&] {
+      note("n");
+      clock.SleepFor(100);
+      note("n");
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        open = true;
+      }
+      cond.NotifyAll();
+      group.Spawn([&] {
+        note("c");
+        clock.SleepFor(25);
+        note("c");
+      });
+      clock.SleepFor(25);
+      note("n");
+    });
+    group.Start();
+    clock.SleepFor(100);
+    note("main");
+    clock.SleepFor(25);
+    note("main");
+  }
+  clock.UnregisterActor();
+  return log;
+}
+
+TEST(VirtualClockTest, MixedDispatchOrderMatchesRecordedSchedule) {
+  // Recorded with the thread-per-actor runtime that fibers replaced: the
+  // switch kept the scheduler's decisions (timer pop order, notify order,
+  // ticket-ordered spawn admission), not just the virtual times.
+  const std::vector<std::string> expected = {
+      "s0@0",    "s1@0",   "s2@0",   "w0@0",   "w1@0",   "n@0",
+      "main@100", "n@100",  "s1@100", "s0@100", "s2@100", "w0@100",
+      "w1@100",  "c@100",  "s1@100", "s0@100", "s2@100", "main@125",
+      "c@125",   "w0@125", "n@125",  "w1@125"};
+  for (int run = 0; run < 5; ++run) {
+    EXPECT_EQ(RunMixedSchedule(), expected) << "run " << run;
+  }
+}
+
+TEST(VirtualClockTest, RegisteredThreadAndActorsTakeTurns) {
+  // A registered OS thread and two spawned actors pass the run token round
+  // robin through one condition; every hand-off crosses between the
+  // thread's condition-variable wait and the carrier's fibers.
+  VirtualClock clock;
+  std::mutex mu;
+  VirtualCondition cond(&clock, "turns");
+  int turn = 0;  // guarded by mu; participant p moves when turn % 3 == p
+  std::vector<std::string> log;
+  auto take_turns = [&](int p, const std::string& name) {
+    for (int round = 0; round < 4; ++round) {
+      {
+        std::unique_lock<std::mutex> lk(mu);
+        cond.Wait(lk, [&] { return turn % 3 == p; });
+        log.push_back(name + ":" + std::to_string(turn) + "@" +
+                      std::to_string(clock.Now()));
+        turn++;
+      }
+      cond.NotifyAll();
+      clock.SleepFor(10);
+    }
+  };
+  clock.RegisterActor();
+  {
+    ActorGroup group(&clock);
+    group.Spawn([&] { take_turns(1, "a"); });
+    group.Spawn([&] { take_turns(2, "b"); });
+    group.Start();
+    take_turns(0, "main");
+  }
+  clock.UnregisterActor();
+  std::vector<std::string> expected;
+  for (int t = 0; t < 12; ++t) {
+    const char* names[] = {"main", "a", "b"};
+    expected.push_back(std::string(names[t % 3]) + ":" + std::to_string(t) +
+                       "@" + std::to_string(10 * (t / 3)));
+  }
+  EXPECT_EQ(log, expected);
+}
+
+// Bytes of address space this process has mapped (statm's first field).
+uint64_t MappedBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  statm >> size_pages;
+  return size_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(ActorGroupTest, ManyActorsExitWithoutLeakingStacks) {
+  // Every actor owns a lazily-committed stack while it lives; the stack is
+  // unmapped before the joiner wakes, so a long simulation that spawns and
+  // retires actors does not accumulate address space.
+  constexpr int kActors = 256;
+  VirtualClock clock;
+  for (int round = 0; round < 2; ++round) {
+    const uint64_t before = MappedBytes();
+    int finished = 0;  // actors run one at a time
+    {
+      ActorGroup group(&clock);
+      for (int i = 0; i < kActors; ++i) {
+        group.Spawn([&clock, &finished, i] {
+          volatile char frame[16 * 1024];  // touch some stack
+          frame[0] = static_cast<char>(i);
+          frame[sizeof(frame) - 1] = frame[0];
+          clock.SleepFor(1 + i % 7);
+          finished++;
+        });
+      }
+      // All stacks exist from Spawn on (and cost address space, not RSS).
+      EXPECT_GT(MappedBytes(), before + kActors * kMiB);
+    }
+    EXPECT_EQ(finished, kActors);
+    EXPECT_LT(MappedBytes(), before + 16 * kMiB) << "round " << round;
+  }
+}
+
+TEST(ActorGroupTest, JoinAllFromInsideAnActorWaitsInVirtualTime) {
+  VirtualClock clock;
+  Timestamp joined_at = 0;
+  {
+    ActorGroup outer(&clock);
+    outer.Spawn([&] {
+      ActorGroup inner(&clock);
+      for (int i = 1; i <= 3; ++i) {
+        inner.Spawn([&clock, i] { clock.SleepFor(i * 100); });
+      }
+      inner.JoinAll();
+      joined_at = clock.Now();
+    });
+  }
+  EXPECT_EQ(joined_at, 300u);
+}
+
+TEST(ActorGroupTest, CmAndScrubberDrainFromInsideAnActor) {
+  // Shutdown drains park the calling actor in virtual time: it resumes at
+  // the tick where the last loop observed its flag and exited.
+  SimEnvironment env(7);
+  net::RpcTransport rpc(&env);
+  net::RdmaFabric fabric(&env);
+  SimNode* cm_node = env.AddNode("cm", NodeConfig{});
+  NodeConfig pmem_cfg;
+  pmem_cfg.storage = HardwareProfile::OptanePmem(env.NextSeed());
+  SimNode* pmem_node = env.AddNode("pmem-0", pmem_cfg);
+  astore::ClusterManager cm(&env, &rpc, cm_node,
+                            astore::ClusterManager::Options{});
+  astore::AStoreServer::Options server_opts;
+  server_opts.pmem_capacity = 4 * kMiB;
+  astore::AStoreServer server(&env, &rpc, &fabric, pmem_node, server_opts);
+  cm.RegisterServer(&server);
+  astore::AStoreClient scrub_client(&env, &rpc, &fabric, cm_node, pmem_node,
+                                    /*client_id=*/90,
+                                    astore::AStoreClient::Options{});
+  astore::Scrubber::Options scrub_opts;
+  scrub_opts.scrub_period = 100 * kMillisecond;
+  astore::Scrubber scrubber(&env, &scrub_client, &server, scrub_opts);
+
+  Timestamp drained_at = 0;
+  env.clock()->RegisterActor();
+  {
+    ActorGroup background(env.clock());
+    cm.StartBackground(&background);
+    scrubber.StartBackground(&background);
+    background.Spawn([&] {
+      env.clock()->SleepUntil(230 * kMillisecond);
+      scrubber.RequestShutdown();
+      cm.RequestShutdown();
+      scrubber.Shutdown();  // the scrub loop wakes next at 300 ms
+      cm.Shutdown();        // the health loop exited at its 250 ms tick
+      drained_at = env.clock()->Now();
+    });
+    background.Start();
+  }
+  env.clock()->UnregisterActor();
+  EXPECT_EQ(drained_at, 300 * kMillisecond);
 }
 
 }  // namespace

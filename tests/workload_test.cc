@@ -20,8 +20,8 @@ class TpccTest : public ::testing::Test {
     opts.astore_log.ring.ring_size = 6;
     opts.engine.buffer_pool.capacity_pages = 2048;
     cluster_ = std::make_unique<VedbCluster>(opts);
-    cluster_->StartBackground();
     cluster_->env()->clock()->RegisterActor();
+    cluster_->StartBackground();
 
     TpccScale scale;
     scale.warehouses = 2;
@@ -134,8 +134,8 @@ TEST(InternalWorkloadTest, OrderProcessingMaintainsBalanceInvariant) {
   ClusterOptions opts;
   opts.astore_log.ring.segment_size = 512 * kKiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   OrderProcessingWorkload::Options wopts;
   wopts.merchants = 2;
@@ -170,8 +170,8 @@ TEST(InternalWorkloadTest, SysbenchMixPreservesRowCount) {
   ClusterOptions opts;
   opts.astore_log.ring.segment_size = 512 * kKiB;
   VedbCluster cluster(opts);
-  cluster.StartBackground();
   cluster.env()->clock()->RegisterActor();
+  cluster.StartBackground();
 
   SysbenchWorkload::Options wopts;
   wopts.rows = 500;
