@@ -27,9 +27,17 @@
 #      A deliberate exception is waived with a `// thread-ok` comment on
 #      the same line.
 #
+#   5. cost-literal: every virtual-time cost lives in src/common/cost_model.h.
+#      A numeric literal in the extra-cost argument of `->Access(` (the
+#      second) or `->SubmitAt(` (the third), or on the right of a
+#      `base_latency =` assignment, anywhere in src/ outside that header
+#      is rejected. A bare `0` (no cost) is fine, as is any literal in a
+#      bytes argument such as `Access(0, ...)`. A deliberate exception is
+#      waived with a `// cost-ok` comment on a line of the call.
+#
 # In addition, if clang-tidy is on PATH, it is run over src/ with the
 # repo's .clang-tidy config. Containers without clang-tidy (like the CI
-# sanitizer image) still get rules 1-3.
+# sanitizer image) still get rules 1-5.
 #
 # Usage:
 #   scripts/lint.sh                # lint the repo; exit 1 on any violation
@@ -122,10 +130,60 @@ lint: deliberate use with '// thread-ok'):"
   fi
 }
 
+# --- Rule 5: cost literals outside the cost table ---------------------------
+# Perl walks each call's balanced parentheses, so multi-line calls and nested
+# calls in the arguments are handled; it prints file:line: for each hit.
+check_cost_literals() {
+  local root="$1"
+  local hits
+  hits=$(find "$root" \( -name '*.cc' -o -name '*.h' \) \
+              ! -path '*/common/cost_model.h' -print0 2>/dev/null |
+         xargs -0 -r perl -0777 -ne '
+           our $src = $_;
+           # A literal is a digit that does not continue an identifier.
+           sub has_literal { my ($e) = @_; $e =~ s/^\s+|\s+$//g;
+                             return $e ne "0" && $e =~ /(?<![A-Za-z_0-9])[0-9]/; }
+           sub report { my ($start, $end, $what) = @_;
+             my $text = substr($src, $start, $end - $start);
+             return if $text =~ /cost-ok/;
+             my $line = 1 + (substr($src, 0, $start) =~ tr/\n//);
+             my ($first) = split /\n/, $text;
+             print "$ARGV:$line: $what: $first\n"; }
+           while ($src =~ /->(Access|SubmitAt)\s*\(/g) {
+             my ($verb, $start, $i) = ($1, $-[0], $+[0]);
+             my ($depth, $cur, @args) = (1, "");
+             while ($i < length($src) && $depth > 0) {
+               my $c = substr($src, $i++, 1);
+               if ($c eq "(") { $depth++; }
+               elsif ($c eq ")") { $depth--; last if $depth == 0; }
+               elsif ($c eq "," && $depth == 1) { push @args, $cur; $cur = "";
+                                                  next; }
+               $cur .= $c;
+             }
+             push @args, $cur;
+             # Lines of the call, with any trailing comment on the last one.
+             my $eol = index($src, "\n", $i); $eol = length($src) if $eol < 0;
+             my $cost = $args[$verb eq "Access" ? 1 : 2];
+             report($start, $eol, "literal cost in $verb") if
+                 defined $cost && has_literal($cost);
+           }
+           while ($src =~ /\bbase_latency\s*=(?!=)\s*([^;,]*)/g) {
+             my ($start, $rhs) = ($-[0], $1);
+             my $eol = index($src, "\n", $+[0]); $eol = length($src) if $eol < 0;
+             report($start, $eol, "literal base_latency") if has_literal($rhs);
+           }')
+  if [[ -n "$hits" ]]; then
+    fail "numeric cost literal outside src/common/cost_model.h (name the
+lint: cost there and read the constant, or waive a deliberate exception
+lint: with '// cost-ok'):"
+    printf '%s\n' "$hits" >&2
+  fi
+}
+
 # --- clang-tidy (optional: skipped when the toolchain lacks it) -------------
 run_clang_tidy() {
   if ! command -v clang-tidy >/dev/null 2>&1; then
-    note "lint: clang-tidy not found on PATH; skipping (rules 1-3 still ran)"
+    note "lint: clang-tidy not found on PATH; skipping (rules 1-5 still ran)"
     return 0
   fi
   if [[ ! -f build/compile_commands.json ]]; then
@@ -161,16 +219,29 @@ self_test() {
   check_naked_threads "$fx/threads"
   [[ $FAILED -eq 1 ]] || { echo "self-test: rule 4 did NOT trip" >&2; st=1; }
 
+  FAILED=0
+  check_cost_literals "$fx/cost_literal/access"
+  [[ $FAILED -eq 1 ]] || { echo "self-test: rule 5 (Access) did NOT trip" >&2; st=1; }
+
+  FAILED=0
+  check_cost_literals "$fx/cost_literal/submit_at"
+  [[ $FAILED -eq 1 ]] || { echo "self-test: rule 5 (SubmitAt) did NOT trip" >&2; st=1; }
+
+  FAILED=0
+  check_cost_literals "$fx/cost_literal/base_latency"
+  [[ $FAILED -eq 1 ]] || { echo "self-test: rule 5 (base_latency) did NOT trip" >&2; st=1; }
+
   # And none of them may trip on the clean fixture.
   FAILED=0
   check_pmem_raw_write "$fx/clean"
   check_pmem_api_bypass "$fx/clean"
   check_status_discard "$fx/clean"
   check_naked_threads "$fx/clean"
+  check_cost_literals "$fx/clean"
   [[ $FAILED -eq 0 ]] || { echo "self-test: false positive on clean fixture" >&2; st=1; }
 
   if [[ $st -eq 0 ]]; then
-    echo "lint self-test: OK (4 rules trip on fixtures, clean file passes)"
+    echo "lint self-test: OK (5 rules trip on fixtures, clean file passes)"
   fi
   return $st
 }
@@ -188,6 +259,7 @@ check_naked_threads src/astore src/blob src/common src/ebp src/engine \
                     src/logstore src/net src/obs src/pagestore src/pmem \
                     src/query src/topic src/qos src/workload tests bench \
                     examples
+check_cost_literals src
 run_clang_tidy
 
 if [[ $FAILED -eq 0 ]]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "astore/client.h"
+#include "common/cost_model.h"
 
 namespace vedb::astore {
 
@@ -68,7 +69,7 @@ Status AppendRing::Wait(Token token) {
     // behind us instead of racing a second flush.
     flushing_ = true;
     if (options_.nagle_window > 0 &&
-        pending_bytes_ < options_.batch_byte_cap) {
+        pending_bytes_ < kBatchByteCap) {
       lk.Unlock();
       clock->SleepFor(options_.nagle_window);
       lk.Lock();
@@ -91,9 +92,9 @@ Status AppendRing::Wait(Token token) {
       size_t j = i;
       uint64_t group_bytes = 0;
       while (j < batch.size() && batch[j].handle == batch[i].handle &&
-             j - i < options_.max_batch_records &&
+             j - i < kMaxBatchRecords &&
              (j == i ||
-              group_bytes + batch[j].bytes <= options_.batch_byte_cap)) {
+              group_bytes + batch[j].bytes <= kBatchByteCap)) {
         group_bytes += batch[j].bytes;
         ++j;
       }
@@ -101,10 +102,10 @@ Status AppendRing::Wait(Token token) {
       records.reserve(j - i);
       for (size_t k = i; k < j; ++k) records.push_back(&batch[k].pieces);
       // Batched SDK cost: per-record WR assembly plus ONE doorbell/CQ reap
-      // for the whole group, instead of one write_sdk_overhead per record.
+      // for the whole group, instead of one cost::kSdkWrite per record.
       const Duration sdk_cost =
-          options_.submit_overhead * static_cast<Duration>(records.size()) +
-          options_.completion_overhead;
+          cost::kRingSubmitPerRecord * static_cast<Duration>(records.size()) +
+          cost::kRingCompletion;
       const Status s = client_->WriteRecords(batch[i].handle, records,
                                              sdk_cost, "append_group");
       if (s.ok()) {

@@ -7,8 +7,8 @@
 // reserved, e.g. by SegmentRing::Reserve) and get back a completion token;
 // a leader drains the queue and posts the records of each segment as ONE
 // chained-WR doorbell (net::RdmaFabric::PostChainMulti), so N independent
-// appends share a single `doorbell_cost` and a single flush READ per
-// replica.
+// appends share a single doorbell (cost::kRdmaDoorbell) and a single
+// flush READ per replica.
 //
 // Leader/follower, no dedicated actor: the first Wait()er whose token is
 // unresolved becomes the flush leader (same shape as
@@ -27,7 +27,8 @@
 // re-verifies via VerifyPersisted before returning).
 //
 // The ring owns its batching: the flush leader charges each group
-// `submit_overhead` per record plus one `completion_overhead`, and counts
+// cost::kRingSubmitPerRecord per record plus one cost::kRingCompletion
+// (common/cost_model.h), and counts
 // ring.doorbells, ring.doorbell_batch and astore.client.coalesced_appends
 // for every group that posts successfully.
 
@@ -72,17 +73,6 @@ struct AppendRingOptions {
   /// leader still coalesces everything already queued, so concurrent
   /// producers batch even with no window.
   Duration nagle_window = 0;
-  /// A drained run is split into doorbells of at most this many payload
-  /// bytes. Also the queue depth at which a lingering leader drains early.
-  uint64_t batch_byte_cap = 256 * kKiB;
-  /// ... and at most this many records per doorbell.
-  size_t max_batch_records = 64;
-  /// Client software cost per record in a batched post (WR assembly for
-  /// header+payload). Replaces the monolithic per-op write_sdk_overhead.
-  Duration submit_overhead = 2 * kMicrosecond;
-  /// Client software cost per doorbell (ring the NIC, reap one CQ entry
-  /// for the whole chain).
-  Duration completion_overhead = 1 * kMicrosecond;
 };
 
 /// See file comment. Owned by AStoreClient (one ring per client SDK
@@ -90,6 +80,12 @@ struct AppendRingOptions {
 class AppendRing {
  public:
   using Token = uint64_t;
+
+  /// A drained run is split into doorbells of at most this many payload
+  /// bytes. Also the queue depth at which a lingering leader drains early.
+  static constexpr uint64_t kBatchByteCap = 256 * kKiB;
+  /// ... and at most this many records per doorbell.
+  static constexpr size_t kMaxBatchRecords = 64;
 
   AppendRing(AStoreClient* client, const AppendRingOptions& options);
 

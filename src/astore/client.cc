@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -73,10 +74,9 @@ bool AStoreClient::Retriable(const Status& s) const {
 }
 
 Duration AStoreClient::BackoffDelay(int attempt) {
-  const RetryPolicy& rp = options_.retry;
-  Duration base = rp.initial_backoff;
-  for (int i = 1; i < attempt && base < rp.max_backoff; ++i) base *= 2;
-  if (base > rp.max_backoff) base = rp.max_backoff;
+  Duration base = kInitialBackoff;
+  for (int i = 1; i < attempt && base < kMaxBackoff; ++i) base *= 2;
+  if (base > kMaxBackoff) base = kMaxBackoff;
   vedb::MutexLock lk(&retry_mu_);
   // Jitter in [base/2, base]: decorrelates clients without ever collapsing
   // the delay to zero.
@@ -147,8 +147,7 @@ Status AStoreClient::CmCall(const char* op, const std::string& service,
                                  : 0;
   Status s;
   for (int attempt = 1;; ++attempt) {
-    s = CmCallOnce(service, request, response,
-                   (idempotent && rp.cm_deadline != 0) ? rp.cm_deadline : 0);
+    s = CmCallOnce(service, request, response, idempotent ? kCmDeadline : 0);
     if (s.ok() || !rp.enabled || !Retriable(s)) return s;
     if (attempt >= rp.max_attempts) return s;
     const Timestamp now = env_->clock()->Now();
@@ -185,7 +184,7 @@ Status AStoreClient::RenewLease() {
 
 Result<SegmentHandlePtr> AStoreClient::CreateSegment(uint64_t size,
                                                      int replication) {
-  if (replication <= 0) replication = options_.default_replication;
+  if (replication <= 0) replication = kDefaultReplication;
   std::string req, resp;
   PutFixed64(&req, client_id_);
   PutFixed64(&req, size);
@@ -255,8 +254,7 @@ Status AStoreClient::Append(const SegmentHandlePtr& handle, Slice data,
   uint64_t offset = 0;
   VEDB_RETURN_IF_ERROR(ReserveCursor(handle, data.size(), &offset));
   const std::vector<RecordPiece> record{{offset, data}};
-  Status s = WriteRecords(handle, {&record}, options_.write_sdk_overhead,
-                          "append");
+  Status s = WriteRecords(handle, {&record}, cost::kSdkWrite, "append");
   if (s.ok() && offset_out != nullptr) *offset_out = offset;
   return s;
 }
@@ -295,8 +293,7 @@ Status AStoreClient::WriteAt(const SegmentHandlePtr& handle, uint64_t offset,
     }
   }
   const std::vector<RecordPiece> record{{offset, data}};
-  return WriteRecords(handle, {&record}, options_.write_sdk_overhead,
-                      "write_at");
+  return WriteRecords(handle, {&record}, cost::kSdkWrite, "write_at");
 }
 
 Status AStoreClient::WriteRecords(
@@ -348,7 +345,7 @@ Status AStoreClient::PostRecords(
     Duration sdk_cost) {
   // Zombie fencing: a client whose lease lapsed must not touch PMem that
   // may have been reclaimed for another client (Section IV-C).
-  if (options_.enforce_lease && !LeaseValid()) {
+  if (!LeaseValid()) {
     return Status::LeaseExpired("client lease expired");
   }
 
@@ -536,7 +533,7 @@ Status AStoreClient::ReadInternal(const SegmentHandlePtr& handle,
   const Timestamp t0 = env_->clock()->Now();
   obs::SpanScope span(obs::Tracer::Global(), "astore.client.read");
   span.AddTag("segment", std::to_string(handle->id()));
-  client_node_->cpu()->Access(0, options_.read_sdk_overhead);
+  client_node_->cpu()->Access(0, cost::kSdkRead);
   SegmentRoute route = handle->route();
   if (route.replicas.empty()) return Status::Unavailable("no replicas");
 
@@ -585,7 +582,7 @@ Status AStoreClient::ReadInternal(const SegmentHandlePtr& handle,
       }
     }
     if (s.ok()) {
-      if (!bad.empty() && read_opts.read_repair) {
+      if (!bad.empty()) {
         RepairReplicas(handle, route, bad, offset, Slice(out, len));
       }
       reads_->Add(1);
@@ -676,7 +673,7 @@ Status AStoreClient::Delete(const SegmentHandlePtr& handle) {
   PutFixed64(&req, handle->id());
   // Non-idempotent (a retried delete that already applied answers NotFound,
   // which is harmless, but per-attempt deadlines could time out a delete
-  // that actually succeeded): no cm_deadline, retries only on transport
+  // that actually succeeded): no kCmDeadline, retries only on transport
   // failure.
   Status s = CmCall("delete", "cm.delete_segment", Slice(req), &resp,
                     /*idempotent=*/false);
@@ -717,8 +714,7 @@ Status AStoreClient::RefreshRoute(const SegmentHandlePtr& handle) {
   PutFixed64(&req, handle->id());
   // Single attempt (the periodic pass and the write-retry loop supply the
   // repetition); the endpoint rotation inside still walks the CM list.
-  Status s = CmCallOnce("cm.get_route", Slice(req), &resp,
-                        options_.retry.cm_deadline);
+  Status s = CmCallOnce("cm.get_route", Slice(req), &resp, kCmDeadline);
   route_refreshes_->Add(1);
   vedb::MutexLock lk(&handle->mu_);
   if (s.IsNotFound()) {
@@ -757,7 +753,7 @@ Status AStoreClient::RefreshRoute(const SegmentHandlePtr& handle) {
 void AStoreClient::BackgroundLoop() {
   Timestamp last_lease = 0;
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.route_refresh_interval);
+    env_->clock()->SleepFor(kRouteRefreshInterval);
     RefreshRoutes();
     Timestamp now = env_->clock()->Now();
     if (now - last_lease >= options_.lease_renew_interval) {

@@ -36,7 +36,8 @@ namespace vedb::astore {
 /// retriable status — Unavailable, Stale, TimedOut, IOError, Busy — the
 /// client re-fetches the route from the CM, un-freezes the handle once the
 /// route epoch has advanced past the failure, and retries with bounded
-/// exponential backoff plus deterministic jitter on the virtual clock.
+/// exponential backoff (AStoreClient::kInitialBackoff doubling up to
+/// kMaxBackoff) plus deterministic jitter on the virtual clock.
 /// Permanent conditions (lease expiry, reclaimed/deleted segments, bad
 /// arguments, NoSpace) surface immediately.
 struct RetryPolicy {
@@ -45,18 +46,10 @@ struct RetryPolicy {
   bool enabled = true;
   /// Upper bound on attempts per operation, first try included.
   int max_attempts = 64;
-  /// First backoff; doubles per attempt up to `max_backoff`.
-  Duration initial_backoff = 200 * kMicrosecond;
-  Duration max_backoff = 10 * kMillisecond;
   /// Per-operation recovery budget (0 = unbounded). Must stay well under
   /// the CM lease duration or a retrying writer can outlive its own lease
   /// mid-loop and surface LeaseExpired instead of the original cause.
   Duration op_deadline = 800 * kMillisecond;
-  /// Per-attempt RPC deadline for idempotent CM calls (cm.get_route).
-  /// Non-idempotent calls (cm.create_segment) never get one: a slow but
-  /// successful create reported TimedOut and then retried would orphan
-  /// the first segment.
-  Duration cm_deadline = 2 * kMillisecond;
 };
 
 /// Client-side state of one open segment. Obtained from AStoreClient;
@@ -115,33 +108,19 @@ using SegmentHandlePtr = std::shared_ptr<SegmentHandle>;
 /// within the same attempt. Distinct from transport errors: a corrupt copy
 /// is surfaced as Status::DataLoss and is never retried against the replica
 /// that served it.
+/// After a later replica serves a good copy, the client rewrites it over
+/// every replica that served bad bytes (epoch-guarded: a concurrent route
+/// change/writer wins and the repair is dropped).
 struct ReadOptions {
   /// Checks the returned bytes; null = length validation only.
   std::function<Status(Slice)> verify;
-  /// After a later replica serves a good copy, rewrite it over every
-  /// replica that served bad bytes (epoch-guarded: a concurrent route
-  /// change/writer wins and the repair is dropped).
-  bool read_repair = true;
 };
 
 class AStoreClient {
  public:
   struct Options {
-    /// Default replication for new segments (log: 3, EBP pages: 1).
-    int default_replication = 3;
-    /// How often cached routes are re-validated against the CM. Must be
-    /// much shorter than the servers' cleaning interval (Section IV-C).
-    Duration route_refresh_interval = 50 * kMillisecond;
     /// How often the client lease is renewed.
     Duration lease_renew_interval = 500 * kMillisecond;
-    /// Client software cost per Append/WriteAt (WR construction, CQ
-    /// polling, segment-meta update). An assumed figure, not yet calibrated
-    /// against the paper; ring appends pay AppendRingOptions' costs instead.
-    Duration write_sdk_overhead = 55 * kMicrosecond;
-    /// Client software cost per read.
-    Duration read_sdk_overhead = 4 * kMicrosecond;
-    /// Reject writes when the local lease has expired.
-    bool enforce_lease = true;
     /// Transparent retry/backoff/deadline behaviour (see RetryPolicy).
     RetryPolicy retry;
     /// Per-tenant QoS admission (nullptr = unmetered, the default). When
@@ -155,10 +134,24 @@ class AStoreClient {
     qos::AdmissionController* admission = nullptr;
     /// Tenant name charged by `admission`; must be registered there.
     std::string tenant;
-    /// Doorbell coalescing + batched-post costs for the async append path
-    /// (see astore/append_ring.h).
+    /// Doorbell coalescing for the async append path (see
+    /// astore/append_ring.h).
     AppendRingOptions append_ring;
   };
+
+  /// Replication of a segment created with replication <= 0 (log: 3).
+  static constexpr int kDefaultReplication = 3;
+  /// How often cached routes are re-validated against the CM. Must be much
+  /// shorter than the servers' cleaning interval (Section IV-C).
+  static constexpr Duration kRouteRefreshInterval = 50 * kMillisecond;
+  /// Retry backoff: the first delay doubles per attempt up to the cap.
+  static constexpr Duration kInitialBackoff = 200 * kMicrosecond;
+  static constexpr Duration kMaxBackoff = 10 * kMillisecond;
+  /// Per-attempt RPC deadline for idempotent CM calls (cm.get_route).
+  /// Non-idempotent calls (cm.create_segment) never get one: a slow but
+  /// successful create reported TimedOut and then retried would orphan the
+  /// first segment.
+  static constexpr Duration kCmDeadline = 2 * kMillisecond;
 
   AStoreClient(sim::SimEnvironment* env, net::RpcTransport* rpc,
                net::RdmaFabric* fabric, sim::SimNode* cm_node,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "sim/lock_order.h"
 
@@ -74,7 +75,7 @@ void ClusterManager::Shutdown() {
 
 void ClusterManager::HealthLoop() {
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.heartbeat_period);
+    env_->clock()->SleepFor(kHeartbeatPeriod);
     if (shutdown_.load()) break;
     Tick();
   }
@@ -150,7 +151,7 @@ void ClusterManager::ShipRecords(const std::vector<CmRecord>& records) {
   for (const CmPeer& peer : peers_) {
     if (peer.node_id == options_.node_id) continue;
     net::RpcCallOptions opts;
-    opts.deadline = env_->clock()->Now() + options_.replication_deadline;
+    opts.deadline = env_->clock()->Now() + kReplicationDeadline;
     std::string resp;
     Status s = rpc_->Call(node_, peer.node, "cm.replicate", Slice(batch),
                           &resp, opts);
@@ -234,7 +235,7 @@ Status ClusterManager::PingPeer(const CmPeer& peer, PeerStatus* out) {
   PutFixed32(&req, options_.node_id);
   PutFixed64(&req, Term());
   net::RpcCallOptions opts;
-  opts.deadline = env_->clock()->Now() + options_.replication_deadline;
+  opts.deadline = env_->clock()->Now() + kReplicationDeadline;
   VEDB_RETURN_IF_ERROR(
       rpc_->Call(node_, peer.node, "cm.ping", Slice(req), &resp, opts));
   Slice in(resp);
@@ -318,7 +319,7 @@ void ClusterManager::StandbyTick() {
     vedb::MutexLock lk(&repl_mu_);
     if (leader_down_since_ == 0) {
       leader_down_since_ = now;
-    } else if (now - leader_down_since_ >= options_.failure_timeout) {
+    } else if (now - leader_down_since_ >= kFailureTimeout) {
       elect = true;
     }
   }
@@ -392,7 +393,7 @@ void ClusterManager::Promote() {
     next_seq_ = applied + 1;
     // Ids the old primary may have reserved without us ever hearing of the
     // reservation can never be re-issued.
-    next_segment_id_ += options_.failover_id_gap;
+    next_segment_id_ += kFailoverIdGap;
     // In-flight creates whose kCreateBegin we saw but whose commit never
     // arrived are orphans: their client will retry against us and get a
     // fresh id, so release the half-made allocations and drop the ids.
@@ -637,7 +638,7 @@ void ClusterManager::RebuildSegmentsOf(const std::string& dead_node) {
       CmRecord rec = MakeRecordLocked(CmRecordType::kRouteUpsert);
       rec.route = route;
       records.push_back(rec);
-      if (options_.auto_rebuild && !route.replicas.empty()) {
+      if (!route.replicas.empty()) {
         jobs.push_back(RebuildJob{id, route.size, route.replicas.front()});
       }
     }
@@ -723,7 +724,6 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
                                          SegmentId id) {
   uint64_t size = 0;
   ReplicaLocation source;
-  bool rebuild = false;
   sim::SimNode* reporter = nullptr;
   std::vector<CmRecord> records;
   {
@@ -751,7 +751,6 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
     records.push_back(rec);
     size = it->second.size;
     source = it->second.replicas.front();
-    rebuild = options_.auto_rebuild;
     quarantined_nodes_[id].insert(node_name);
     auto sit = servers_.find(node_name);
     if (sit != servers_.end()) reporter = sit->second.server->node();
@@ -770,7 +769,7 @@ Status ClusterManager::QuarantineReplica(const std::string& node_name,
     (void)rpc_->Call(node_, reporter, "astore.release", Slice(req), &resp);
   }
   ShipRecords(records);
-  if (rebuild) RebuildOneReplica(id, size, source, {node_name});
+  RebuildOneReplica(id, size, source, {node_name});
   return Status::OK();
 }
 
@@ -779,7 +778,7 @@ Timestamp ClusterManager::AcquireLease(ClientId client) {
   Timestamp expiry;
   {
     vedb::MutexLock lk(&mu_);
-    expiry = env_->clock()->Now() + options_.lease_duration;
+    expiry = env_->clock()->Now() + kLeaseDuration;
     leases_[client] = expiry;
     granted_terms_.insert(term_);
     CmRecord rec = MakeRecordLocked(CmRecordType::kLease);
@@ -993,7 +992,7 @@ size_t ClusterManager::AliveServerCount() const {
 void ClusterManager::RegisterRpcServices() {
   rpc_->RegisterService(
       node_, "cm.create_segment", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost);
+        node_->cpu()->Access(0, cost::kCmControlOp);
         VEDB_RETURN_IF_ERROR(RequirePrimaryAndStamp(resp));
         Slice raw;
         if (!GetFixedBytes(&req, 8, &raw)) {
@@ -1016,7 +1015,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.get_route", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost / 10);
+        node_->cpu()->Access(0, cost::kCmRouteLookup);
         VEDB_RETURN_IF_ERROR(RequirePrimaryAndStamp(resp));
         Slice raw;
         if (!GetFixedBytes(&req, 8, &raw)) {
@@ -1029,7 +1028,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.delete_segment", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost);
+        node_->cpu()->Access(0, cost::kCmControlOp);
         resp->clear();
         VEDB_RETURN_IF_ERROR(RequirePrimaryAndStamp(resp));
         Slice raw;
@@ -1044,7 +1043,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.report_corrupt", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost);
+        node_->cpu()->Access(0, cost::kCmControlOp);
         resp->clear();
         VEDB_RETURN_IF_ERROR(RequirePrimaryAndStamp(resp));
         Slice reporter;
@@ -1060,7 +1059,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.lease", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost / 10);
+        node_->cpu()->Access(0, cost::kCmLeaseRenew);
         VEDB_RETURN_IF_ERROR(RequirePrimaryAndStamp(resp));
         Slice raw;
         if (!GetFixedBytes(&req, 8, &raw)) {
@@ -1074,7 +1073,7 @@ void ClusterManager::RegisterRpcServices() {
   // ---- Intra-group services (term-checked, never client-facing). ----
   rpc_->RegisterService(
       node_, "cm.ping", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost / 20);
+        node_->cpu()->Access(0, cost::kCmPing);
         Slice raw;
         if (!GetFixedBytes(&req, 4, &raw)) {
           return Status::InvalidArgument("ping req");
@@ -1092,7 +1091,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.replicate", [this](Slice req, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost / 20);
+        node_->cpu()->Access(0, cost::kCmReplicate);
         Slice raw;
         if (!GetFixedBytes(&req, 4, &raw)) {
           return Status::InvalidArgument("replicate req");
@@ -1141,7 +1140,7 @@ void ClusterManager::RegisterRpcServices() {
       });
   rpc_->RegisterService(
       node_, "cm.fetch_snapshot", [this](Slice /*req*/, std::string* resp) {
-        node_->cpu()->Access(0, options_.control_op_cost);
+        node_->cpu()->Access(0, cost::kCmControlOp);
         CmSnapshot snap;
         {
           vedb::MutexLock lk(&mu_);

@@ -47,29 +47,26 @@ struct CmPeer {
 class ClusterManager {
  public:
   struct Options {
-    /// Lease granted to clients; writes from a client whose lease expired
-    /// are rejected locally (Section IV-C's client-failure scenario).
-    Duration lease_duration = 2 * kSecond;
-    /// Heartbeat polling period of the CM's background task.
-    Duration heartbeat_period = 50 * kMillisecond;
-    /// A node missing heartbeats for this long is declared dead. Also the
-    /// time a standby waits on an unreachable primary before electing.
-    Duration failure_timeout = 200 * kMillisecond;
-    /// Rebuild lost replicas automatically when a node dies.
-    bool auto_rebuild = true;
-    /// CPU cost of processing one control request on the CM.
-    Duration control_op_cost = 200 * kMicrosecond;
     /// This member's identity within its replication group (< 65536); the
     /// election tiebreak — the lowest live id wins. 0 with no peers is the
     /// classic standalone CM.
     uint32_t node_id = 0;
-    /// Per-peer RPC deadline when shipping replication records or pinging.
-    Duration replication_deadline = 2 * kMillisecond;
-    /// Segment-id gap a fresh primary skips on promotion, so an id whose
-    /// kCreateBegin record died with the old primary can never be handed
-    /// out twice.
-    uint64_t failover_id_gap = 64;
   };
+
+  /// Lease granted to clients; writes from a client whose lease expired
+  /// are rejected locally (Section IV-C's client-failure scenario).
+  static constexpr Duration kLeaseDuration = 2 * kSecond;
+  /// Heartbeat polling period of the CM's background task.
+  static constexpr Duration kHeartbeatPeriod = 50 * kMillisecond;
+  /// A node missing heartbeats for this long is declared dead. Also the
+  /// time a standby waits on an unreachable primary before electing.
+  static constexpr Duration kFailureTimeout = 200 * kMillisecond;
+  /// Per-peer RPC deadline when shipping replication records or pinging.
+  static constexpr Duration kReplicationDeadline = 2 * kMillisecond;
+  /// Segment-id gap a fresh primary skips on promotion, so an id whose
+  /// kCreateBegin record died with the old primary can never be handed out
+  /// twice.
+  static constexpr uint64_t kFailoverIdGap = 64;
 
   /// The CM runs on `node` and registers its services there.
   ClusterManager(sim::SimEnvironment* env, net::RpcTransport* rpc,
@@ -178,8 +175,8 @@ class ClusterManager {
   /// Quarantines one replica reported irreparably corrupt (scrubber
   /// escalation, also reachable via the "cm.report_corrupt" RPC): drops
   /// `node_name` from the segment's route, bumps the epoch so every cached
-  /// copy of the old route dies, and — with auto_rebuild — re-replicates
-  /// just this segment onto a healthy server, excluding the reporter.
+  /// copy of the old route dies, and re-replicates just this segment onto
+  /// a healthy server, excluding the reporter.
   /// Refuses (Unavailable) to quarantine the last replica: a corrupt copy
   /// still beats no copy, and the caller keeps serving what it can.
   /// A report against a replica the route no longer lists is OK/no-op.

@@ -140,7 +140,7 @@ Scrubber::ChunkVerdict Scrubber::ScrubChunk(const SegmentHandlePtr& handle,
   // Settledness: re-read after a gap. A copy that changed between the two
   // reads is being appended to right now — comparing replicas mid-write
   // would flag the write frontier as rot, so the chunk waits a round.
-  env_->clock()->SleepFor(options_.settle_gap);
+  env_->clock()->SleepFor(kSettleGap);
   for (size_t i = 0; i < n; ++i) {
     if (first[i].empty() && len > 0) continue;
     second[i].resize(len);

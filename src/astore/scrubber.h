@@ -41,9 +41,10 @@ class Scrubber {
     /// throttled exactly like any metered tenant.
     uint64_t rate_bytes_per_sec = 8 * kMiB;
     uint64_t burst_bytes = 64 * kKiB;
-    /// Gap between the two settledness reads of one chunk.
-    Duration settle_gap = 500 * kMicrosecond;
   };
+
+  /// Gap between the two settledness reads of one chunk.
+  static constexpr Duration kSettleGap = 500 * kMicrosecond;
 
   /// `client` is the scrubber's cluster view (routes, per-replica reads,
   /// epoch-guarded repair writes, CM reporting); it should live on the

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/cost_model.h"
 #include "common/logging.h"
 
 namespace vedb::astore {
@@ -24,7 +25,7 @@ AStoreServer::AStoreServer(sim::SimEnvironment* env, net::RpcTransport* rpc,
   region_ = fabric_->RegisterMemory(node_, pmem_.get());
 
   storage_base_ = ServerLayout::kSuperblockSize +
-                  options_.max_segments * ServerLayout::kIoMetaSlotSize;
+                  ServerLayout::kMaxSegments * ServerLayout::kIoMetaSlotSize;
   // Round up to extent alignment.
   storage_base_ =
       (storage_base_ + ServerLayout::kExtentSize - 1) /
@@ -55,7 +56,7 @@ void AStoreServer::StartBackground(sim::ActorGroup* group) {
 
 void AStoreServer::BackgroundLoop() {
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.background_period);
+    env_->clock()->SleepFor(kBackgroundPeriod);
     vedb::MutexLock lk(&mu_);
     CleanExpiredLocked(env_->clock()->Now());
   }
@@ -182,7 +183,7 @@ Result<ReplicaLocation> AStoreServer::Allocate(SegmentId id, uint64_t size) {
   seg.base = base;
   seg.size = (size + ServerLayout::kExtentSize - 1) /
              ServerLayout::kExtentSize * ServerLayout::kExtentSize;
-  seg.io_meta_slot = next_io_meta_slot_++ % options_.max_segments;
+  seg.io_meta_slot = next_io_meta_slot_++ % ServerLayout::kMaxSegments;
   segments_[id] = seg;
 
   // Persist the segment-meta locally (server-side code path with proper
@@ -272,14 +273,14 @@ void AStoreServer::CrashProcess() {
 Result<size_t> AStoreServer::RestartFromPmem() {
   // Scan the persisted segment-meta slots and rebuild the in-memory
   // segment table + allocator. The scan is local PMem I/O.
-  node_->storage()->Access(options_.max_segments *
+  node_->storage()->Access(ServerLayout::kMaxSegments *
                            ServerLayout::kIoMetaSlotSize);
   vedb::MutexLock lk(&mu_);
   segments_.clear();
   std::fill(extent_used_.begin(), extent_used_.end(), false);
   size_t recovered = 0;
   uint32_t max_slot = 0;
-  for (uint32_t slot = 0; slot < options_.max_segments; ++slot) {
+  for (uint32_t slot = 0; slot < ServerLayout::kMaxSegments; ++slot) {
     char meta[24];
     const uint64_t off = ServerLayout::kSuperblockSize +
                          slot * ServerLayout::kIoMetaSlotSize;
@@ -317,7 +318,7 @@ Result<size_t> AStoreServer::RestartFromPmem() {
 }
 
 Status AStoreServer::HandleAlloc(Slice request, std::string* response) {
-  node_->cpu()->Access(0, options_.control_op_cost);
+  node_->cpu()->Access(0, cost::kServerControlOp);
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {
     return Status::InvalidArgument("alloc request");
@@ -333,7 +334,7 @@ Status AStoreServer::HandleAlloc(Slice request, std::string* response) {
 }
 
 Status AStoreServer::HandleRelease(Slice request, std::string* response) {
-  node_->cpu()->Access(0, options_.control_op_cost);
+  node_->cpu()->Access(0, cost::kServerControlOp);
   response->clear();
   Slice raw;
   if (!GetFixedBytes(&request, 8, &raw)) {

@@ -33,6 +33,8 @@ namespace vedb::astore {
 /// On-PMem layout constants.
 struct ServerLayout {
   static constexpr uint64_t kSuperblockSize = 4 * kKiB;
+  /// Maximum concurrently allocated segments (sizes the io-meta area).
+  static constexpr uint32_t kMaxSegments = 1024;
   /// Per-segment metadata slot: bytes [0,24) hold the server's segment-meta
   /// (id, base, size), bytes [32,64) are the client-written io-meta area.
   static constexpr uint64_t kIoMetaSlotSize = 64;
@@ -46,8 +48,6 @@ class AStoreServer {
   struct Options {
     /// Total PMem capacity of this node (paper: 1TB Optane; scaled down).
     uint64_t pmem_capacity = 64 * kMiB;
-    /// Maximum concurrently allocated segments (sizes the io-meta area).
-    uint32_t max_segments = 1024;
     /// Platform DDIO setting. The shipped configuration is `false`
     /// (Section IV-B): RDMA READ then flushes writes to the persistence
     /// domain.
@@ -55,11 +55,10 @@ class AStoreServer {
     /// How long a released segment lingers before its extents are reused.
     /// Must be much longer than the clients' route refresh interval.
     Duration cleaning_interval = 400 * kMillisecond;
-    /// Period of the background cleaning/heartbeat task.
-    Duration background_period = 50 * kMillisecond;
-    /// CPU cost of one alloc/release request.
-    Duration control_op_cost = 30 * kMicrosecond;
   };
+
+  /// Period of the background cleaning task.
+  static constexpr Duration kBackgroundPeriod = 50 * kMillisecond;
 
   /// Creates the server on `node`, registers its PMem with the fabric and
   /// its control services ("astore.alloc", "astore.release", "astore.pull")

@@ -94,8 +94,8 @@ Status BlobStoreCluster::HandleAppend(sim::SimNode* node, Slice request,
   if (it == blobs_.end()) return Status::NotFound("no such blob");
   // Subtraction form: `offset` comes off the wire, and `offset + size`
   // near UINT64_MAX would wrap past the bounds check.
-  if (data.size() > options_.blob_capacity ||
-      offset > options_.blob_capacity - data.size()) {
+  if (data.size() > kBlobCapacity ||
+      offset > kBlobCapacity - data.size()) {
     return Status::NoSpace("blob full");
   }
   std::string& content = it->second.data[node->name()];
@@ -140,7 +140,7 @@ Status BlobStoreCluster::Append(sim::SimNode* client, BlobId id, Slice data,
     vedb::MutexLock lk(&mu_);
     auto it = blobs_.find(id);
     if (it == blobs_.end()) return Status::NotFound("no such blob");
-    if (it->second.length + data.size() > options_.blob_capacity) {
+    if (it->second.length + data.size() > kBlobCapacity) {
       return Status::NoSpace("blob full");
     }
     replicas = it->second.replicas;
@@ -313,20 +313,19 @@ Result<uint64_t> BlobStoreCluster::Length(BlobId id) const {
 }
 
 Result<std::unique_ptr<BlobGroup>> BlobGroup::Create(BlobStoreCluster* cluster,
-                                                     sim::SimNode* client,
-                                                     const Options& options) {
+                                                     sim::SimNode* client) {
   std::vector<BlobId> blobs;
-  for (int i = 0; i < options.blobs_per_group; ++i) {
+  for (int i = 0; i < kBlobsPerGroup; ++i) {
     VEDB_ASSIGN_OR_RETURN(BlobId id, cluster->CreateBlob(client));
     blobs.push_back(id);
   }
   return std::unique_ptr<BlobGroup>(
-      new BlobGroup(cluster, client, options, std::move(blobs)));
+      new BlobGroup(cluster, client, std::move(blobs)));
 }
 
 Status BlobGroup::Append(Slice data, uint64_t* offset_out) {
   if (data.empty()) return Status::InvalidArgument("empty append");
-  const uint64_t io = options_.io_size;
+  const uint64_t io = kIoSize;
   const uint64_t nchunks = (data.size() + io - 1) / io;
 
   uint64_t first_chunk;
@@ -371,7 +370,7 @@ Status BlobGroup::Append(Slice data, uint64_t* offset_out) {
 
 Status BlobGroup::Read(uint64_t offset, uint64_t len, std::string* out) {
   out->clear();
-  const uint64_t io = options_.io_size;
+  const uint64_t io = kIoSize;
   uint64_t end;
   {
     vedb::MutexLock lk(&mu_);

@@ -31,9 +31,10 @@ class BlobStoreCluster {
   struct Options {
     /// Copies of each blob (the paper deploys three or six).
     int replication = 3;
-    /// Maximum size of one blob.
-    uint64_t blob_capacity = 16 * kMiB;
   };
+
+  /// Maximum size of one blob.
+  static constexpr uint64_t kBlobCapacity = 16 * kMiB;
 
   /// `data_nodes` are the SSD boxes; services are registered on each.
   BlobStoreCluster(sim::SimEnvironment* env, net::RpcTransport* rpc,
@@ -126,22 +127,20 @@ class BlobStoreCluster {
 /// BlobGroup: the storage SDK's logical container over several blobs
 /// (Section III). Large appends are split into fixed-size physical I/Os
 /// executed round-robin across the group's blobs in parallel; each physical
-/// I/O is `io_size` bytes regardless of payload (small appends are padded,
+/// I/O is kIoSize bytes regardless of payload (small appends are padded,
 /// which is the fixed-size-request model the paper describes).
 class BlobGroup {
  public:
-  struct Options {
-    int blobs_per_group = 4;
-    uint64_t io_size = 8 * kKiB;
-  };
+  /// Blobs per group and the fixed physical I/O size (Section V-A).
+  static constexpr int kBlobsPerGroup = 4;
+  static constexpr uint64_t kIoSize = 8 * kKiB;
 
   /// Creates the group's blobs up front.
   static Result<std::unique_ptr<BlobGroup>> Create(BlobStoreCluster* cluster,
-                                                   sim::SimNode* client,
-                                                   const Options& options);
+                                                   sim::SimNode* client);
 
   /// Appends `data` to the logical stream. The payload occupies whole
-  /// io_size chunks; returns the starting logical offset via `offset_out`.
+  /// kIoSize chunks; returns the starting logical offset via `offset_out`.
   Status Append(Slice data, uint64_t* offset_out);
 
   /// Reads `len` bytes starting at a logical offset previously returned by
@@ -151,20 +150,16 @@ class BlobGroup {
   /// Logical stream length in bytes (chunk-granular).
   uint64_t length() const {
     vedb::MutexLock lk(&mu_);
-    return next_chunk_ * options_.io_size;
+    return next_chunk_ * kIoSize;
   }
 
  private:
-  BlobGroup(BlobStoreCluster* cluster, sim::SimNode* client, Options options,
+  BlobGroup(BlobStoreCluster* cluster, sim::SimNode* client,
             std::vector<BlobId> blobs)
-      : cluster_(cluster),
-        client_(client),
-        options_(options),
-        blobs_(std::move(blobs)) {}
+      : cluster_(cluster), client_(client), blobs_(std::move(blobs)) {}
 
   BlobStoreCluster* cluster_;
   sim::SimNode* client_;
-  Options options_;
   std::vector<BlobId> blobs_;
   mutable vedb::Mutex mu_{"blob.group"};
   uint64_t next_chunk_ GUARDED_BY(mu_) = 0;

@@ -1,5 +1,6 @@
 #include "engine/buffer_pool.h"
 
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "engine/page.h"
 #include "sim/race_detector.h"
@@ -88,7 +89,7 @@ void BufferPool::EvictIfNeededLocked() {
 }
 
 Result<Frame*> BufferPool::Pin(uint64_t key, bool create_if_missing) {
-  node_->cpu()->Access(0, options_.access_cpu_cost);
+  node_->cpu()->Access(0, cost::kBufferPoolAccess);
 
   vedb::MutexLock lk(&mu_);
   while (true) {

@@ -45,8 +45,6 @@ class BufferPool {
   struct Options {
     /// Resident page capacity.
     size_t capacity_pages = 1024;
-    /// CPU cost per pool access (hash lookup, latch).
-    Duration access_cpu_cost = 600;
   };
 
   /// Miss/eviction plumbing supplied by the DBEngine.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cost_model.h"
 #include "common/logging.h"
 
 namespace vedb::engine {
@@ -58,7 +59,7 @@ Table* DBEngine::GetTable(const std::string& name) {
 }
 
 TxnPtr DBEngine::Begin() {
-  node_->cpu()->Access(0, options_.txn_overhead_cpu);
+  node_->cpu()->Access(0, cost::kTxnOverhead);
   return TxnPtr(new Txn(next_txn_.fetch_add(1)));
 }
 
@@ -90,7 +91,7 @@ void DBEngine::Abort(Txn* txn) {
 }
 
 Status DBEngine::Commit(Txn* txn) {
-  node_->cpu()->Access(0, options_.txn_overhead_cpu);
+  node_->cpu()->Access(0, cost::kTxnOverhead);
 
   // Collect modified entries in touch order.
   struct PendingWrite {
@@ -230,7 +231,7 @@ Status DBEngine::RunTransaction(const std::function<Status(Txn*)>& body,
     if (attempt > 0) {
       // Deadlock victims back off before retrying so the same collision
       // does not repeat immediately (randomized exponential backoff).
-      const Duration base = 200 * kMicrosecond << std::min(attempt, 4);
+      const Duration base = kRetryBackoff << std::min(attempt, 4);
       const Duration jitter =
           (next_txn_.load() * 0x9E3779B97F4A7C15ULL) % base;
       env_->clock()->SleepFor(base + jitter);
@@ -256,7 +257,7 @@ Status DBEngine::ShipEligibleOnce() {
     const uint64_t durable = log_->DurableLsn();
     new_shipped_through = shipped_through_;
     while (new_shipped_through < durable &&
-           batch.size() < options_.shipper_max_batch) {
+           batch.size() < kShipperMaxBatch) {
       const uint64_t lsn = new_shipped_through + 1;
       auto it = ship_queue_.find(lsn);
       if (it != ship_queue_.end()) {
@@ -316,13 +317,13 @@ void DBEngine::EnsureShipped(uint64_t lsn) {
       vedb::MutexLock lk(&ship_mu_);
       if (shipped_through_ >= lsn) return;
     }
-    env_->clock()->SleepFor(200 * kMicrosecond);
+    env_->clock()->SleepFor(kRetryBackoff);
   }
 }
 
 void DBEngine::ShipperLoop() {
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.shipper_period);
+    env_->clock()->SleepFor(kShipperPeriod);
     while (true) {
       uint64_t shipped_before = 0;
       {
@@ -347,7 +348,7 @@ void DBEngine::ShipperLoop() {
 
 void DBEngine::CheckpointLoop() {
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.checkpoint_period);
+    env_->clock()->SleepFor(kCheckpointPeriod);
     // Checkpointing is offloaded to the storage layer: the log can drop
     // everything PageStore has quorum-acked.
     const uint64_t durable = pagestore_->DurableLsn();

@@ -183,16 +183,16 @@ class DBEngine {
   struct Options {
     BufferPool::Options buffer_pool;
     LockManager::Options locks;
-    /// CPU cost charged per row operation (parse/plan/execute slice).
-    Duration row_op_cpu = 10 * kMicrosecond;
-    /// CPU cost charged per transaction begin/commit bookkeeping.
-    Duration txn_overhead_cpu = 3 * kMicrosecond;
-    /// Redo shipper batching.
-    size_t shipper_max_batch = 128;
-    Duration shipper_period = 2 * kMillisecond;
-    /// Periodic log truncation (checkpointing offloaded to storage).
-    Duration checkpoint_period = 200 * kMillisecond;
   };
+
+  /// Redo shipper batching.
+  static constexpr size_t kShipperMaxBatch = 128;
+  static constexpr Duration kShipperPeriod = 2 * kMillisecond;
+  /// Periodic log truncation (checkpointing offloaded to storage).
+  static constexpr Duration kCheckpointPeriod = 200 * kMillisecond;
+  /// First deadlock-victim backoff of RunTransaction (doubles per retry),
+  /// also EnsureShipped's poll interval.
+  static constexpr Duration kRetryBackoff = 200 * kMicrosecond;
 
   /// `ebp` may be null (EBP disabled). `log` may be null for a read-only
   /// standby replica (write commits then fail with NotSupported and no

@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "engine/engine.h"
 
@@ -89,7 +90,7 @@ Status Table::Insert(Txn* txn, const Row& row) {
   if (row.size() != schema_.columns.size()) {
     return Status::InvalidArgument("row arity mismatch for " + name_);
   }
-  engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
+  engine_->node()->cpu()->Access(0, cost::kRowOp);
   const std::string pk = PkOf(schema_, row);
   Txn::OverlayEntry* entry = nullptr;
   VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
@@ -103,7 +104,7 @@ Status Table::Insert(Txn* txn, const Row& row) {
 
 Status Table::Update(Txn* txn, const std::vector<Value>& pk_values,
                      const std::function<void(Row*)>& mutator) {
-  engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
+  engine_->node()->cpu()->Access(0, cost::kRowOp);
   const std::string pk = MakeKey(pk_values);
   Txn::OverlayEntry* entry = nullptr;
   VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
@@ -116,7 +117,7 @@ Status Table::Update(Txn* txn, const std::vector<Value>& pk_values,
 }
 
 Status Table::Delete(Txn* txn, const std::vector<Value>& pk_values) {
-  engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
+  engine_->node()->cpu()->Access(0, cost::kRowOp);
   const std::string pk = MakeKey(pk_values);
   Txn::OverlayEntry* entry = nullptr;
   VEDB_RETURN_IF_ERROR(EnsureEntry(txn, pk, &entry));
@@ -129,7 +130,7 @@ Status Table::Delete(Txn* txn, const std::vector<Value>& pk_values) {
 }
 
 Result<Row> Table::Get(Txn* txn, const std::vector<Value>& pk_values) {
-  engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
+  engine_->node()->cpu()->Access(0, cost::kRowOp);
   const std::string pk = MakeKey(pk_values);
   if (txn != nullptr) {
     auto it = txn->overlay_.find({this, pk});
@@ -172,7 +173,7 @@ Status Table::ScanAll(const std::function<bool(const Row&)>& fn) {
 
 Result<std::vector<Row>> Table::IndexLookup(const std::string& index_name,
                                             const std::vector<Value>& values) {
-  engine_->node()->cpu()->Access(0, engine_->options().row_op_cpu);
+  engine_->node()->cpu()->Access(0, cost::kRowOp);
   std::vector<std::string> pks;
   {
     vedb::MutexLock lk(&mu_);

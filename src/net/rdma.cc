@@ -2,13 +2,13 @@
 
 #include <algorithm>
 
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
 namespace vedb::net {
 
-RdmaFabric::RdmaFabric(sim::SimEnvironment* env, const Options& options)
-    : env_(env), options_(options) {
+RdmaFabric::RdmaFabric(sim::SimEnvironment* env) : env_(env) {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   auto make = [&reg](const char* verb) {
     VerbMetrics m;
@@ -65,14 +65,14 @@ Status RdmaFabric::PrepareChain(sim::SimNode* initiator,
   breakdown->start = env_->clock()->Now();
   if (!target->alive()) {
     // The QP times out; the initiator burns the timeout before erroring.
-    breakdown->end = breakdown->start + options_.timeout_latency;
-    breakdown->network = options_.timeout_latency;
+    breakdown->end = breakdown->start + cost::kRdmaTimeout;
+    breakdown->network = cost::kRdmaTimeout;
     return Status::Unavailable("rdma target " + target->name() + " is down");
   }
   if (!env_->faults()->Reachable(initiator->name(), target->name())) {
     // A partitioned target times out the QP exactly like a dead one.
-    breakdown->end = breakdown->start + options_.timeout_latency;
-    breakdown->network = options_.timeout_latency;
+    breakdown->end = breakdown->start + cost::kRdmaTimeout;
+    breakdown->network = cost::kRdmaTimeout;
     return Status::Unavailable("rdma target " + target->name() +
                                " is unreachable (network partition)");
   }
@@ -82,8 +82,8 @@ Status RdmaFabric::PrepareChain(sim::SimNode* initiator,
   // target CPU is never involved. Consecutive completion timestamps tile
   // [start, end] with no gaps, so the breakdown components sum exactly to
   // the chain's total latency.
-  Timestamp t = breakdown->start + options_.doorbell_cost;
-  breakdown->client += options_.doorbell_cost;
+  Timestamp t = breakdown->start + cost::kRdmaDoorbell;
+  breakdown->client += cost::kRdmaDoorbell;
   for (const auto& wr : chain) {
     const bool is_read = wr.kind == RdmaWorkRequest::Kind::kRead;
     const uint64_t bytes = is_read ? wr.read_len : wr.write_data.size();
@@ -94,7 +94,7 @@ Status RdmaFabric::PrepareChain(sim::SimNode* initiator,
 
     t = initiator->nic()->SubmitAt(t, bytes, 0, &wait);
     wr_queue += wait;
-    t += options_.wire_latency;
+    t += cost::kRdmaWire;
     t = target->nic()->SubmitAt(t, bytes, 0, &wait);
     wr_queue += wait;
     breakdown->network += t - wr_begin;
@@ -109,7 +109,7 @@ Status RdmaFabric::PrepareChain(sim::SimNode* initiator,
     if (is_read) {
       // Response payload crosses the wire back.
       const Timestamp return_begin = t;
-      t += options_.wire_latency;
+      t += cost::kRdmaWire;
       t = initiator->nic()->SubmitAt(t, bytes, 0, &wait);
       wr_queue += wait;
       breakdown->network += t - return_begin;

@@ -102,18 +102,7 @@ class ChainBuilder {
 /// The cluster-wide RDMA network. Thread safe.
 class RdmaFabric {
  public:
-  struct Options {
-    /// Cost of ringing the doorbell (MMIO) once per posted chain.
-    Duration doorbell_cost = 300;
-    /// One-way wire propagation per hop.
-    Duration wire_latency = 500;
-    /// Latency charged when an operation times out against a dead node.
-    Duration timeout_latency = 500 * kMicrosecond;
-  };
-
-  RdmaFabric(sim::SimEnvironment* env, const Options& options);
-  explicit RdmaFabric(sim::SimEnvironment* env)
-      : RdmaFabric(env, Options()) {}
+  explicit RdmaFabric(sim::SimEnvironment* env);
 
   /// Registers `pmem`'s full physical range on `node` with the NIC (the
   /// paper's AStore server does exactly this at startup).
@@ -192,7 +181,6 @@ class RdmaFabric {
   Result<Region> Lookup(MemoryRegionId id) const;
 
   sim::SimEnvironment* env_;
-  Options options_;
   VerbMetrics read_metrics_;
   VerbMetrics write_metrics_;
   mutable vedb::Mutex mu_{"net.rdma"};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -59,9 +60,8 @@ void RpcTransport::RegisterTimedService(sim::SimNode* node,
 
 Duration RpcTransport::SchedJitter() {
   vedb::MutexLock lk(&mu_);
-  if (options_.sched_jitter_mean == 0) return 0;
   return static_cast<Duration>(
-      rng_.Exponential(static_cast<double>(options_.sched_jitter_mean)));
+      rng_.Exponential(static_cast<double>(cost::kRpcSchedJitterMean)));
 }
 
 std::vector<Status> RpcTransport::CallScatter(
@@ -85,7 +85,7 @@ std::vector<Status> RpcTransport::CallScatter(
   const Timestamp begin = env_->clock()->Now();
 
   // One client-side syscall covers the batched submission.
-  Timestamp t0 = client->cpu()->SubmitAt(begin, 0, options_.client_overhead);
+  Timestamp t0 = client->cpu()->SubmitAt(begin, 0, cost::kRpcClientOverhead);
 
   std::vector<Timestamp> completions(n, 0);
   for (size_t i = 0; i < n; ++i) {
@@ -94,13 +94,13 @@ std::vector<Status> RpcTransport::CallScatter(
     if (!server->alive()) {
       statuses[i] = Status::Unavailable("rpc target " + server->name() +
                                         " is down");
-      completions[i] = t0 + options_.timeout_latency;
+      completions[i] = t0 + cost::kRpcTimeout;
       continue;
     }
     if (!env_->faults()->Reachable(client->name(), server->name())) {
       statuses[i] = Status::Unavailable("rpc target " + server->name() +
                                         " is unreachable (network partition)");
-      completions[i] = t0 + options_.timeout_latency;
+      completions[i] = t0 + cost::kRpcTimeout;
       continue;
     }
     TimedRpcHandler handler;
@@ -117,10 +117,9 @@ std::vector<Status> RpcTransport::CallScatter(
     }
     // Request path to this server.
     Timestamp t = client->nic()->SubmitAt(t0, wire_request.size());
-    t += options_.wire_latency;
+    t += cost::kRpcWire;
     t = server->nic()->SubmitAt(t, wire_request.size());
-    t = server->cpu()->SubmitAt(
-        t, 0, server->config().rpc_dispatch_cost + SchedJitter());
+    t = server->cpu()->SubmitAt(t, 0, cost::kRpcDispatch + SchedJitter());
     // Server work (non-blocking, reports its own completion) under the
     // context stripped off the wire.
     std::string resp;
@@ -133,7 +132,7 @@ std::vector<Status> RpcTransport::CallScatter(
     }
     // Response path.
     Timestamp r = server->nic()->SubmitAt(done, resp.size());
-    r += options_.wire_latency;
+    r += cost::kRpcWire;
     r = client->nic()->SubmitAt(r, resp.size());
     completions[i] = r;
     if (responses != nullptr && statuses[i].ok()) {
@@ -214,7 +213,7 @@ Status RpcTransport::Call(sim::SimNode* client, sim::SimNode* server,
 
   if (!server->alive()) {
     // A dead target burns the kernel timeout, but never past the deadline.
-    Timestamp wake = begin + options_.timeout_latency;
+    Timestamp wake = begin + cost::kRpcTimeout;
     if (opts.deadline != 0 && opts.deadline < wake) wake = opts.deadline;
     env_->clock()->SleepUntil(wake);
     return Status::Unavailable("rpc target " + server->name() + " is down");
@@ -222,7 +221,7 @@ Status RpcTransport::Call(sim::SimNode* client, sim::SimNode* server,
   if (!env_->faults()->Reachable(client->name(), server->name())) {
     // A partitioned target is indistinguishable from a dead one to the
     // caller: same timeout burn, same status.
-    Timestamp wake = begin + options_.timeout_latency;
+    Timestamp wake = begin + cost::kRpcTimeout;
     if (opts.deadline != 0 && opts.deadline < wake) wake = opts.deadline;
     env_->clock()->SleepUntil(wake);
     return Status::Unavailable("rpc target " + server->name() +
@@ -240,14 +239,7 @@ Status RpcTransport::Call(sim::SimNode* client, sim::SimNode* server,
     handler = it->second;
   }
 
-  Duration sched_delay = 0;
-  {
-    vedb::MutexLock lk(&mu_);
-    if (options_.sched_jitter_mean > 0) {
-      sched_delay = static_cast<Duration>(
-          rng_.Exponential(static_cast<double>(options_.sched_jitter_mean)));
-    }
-  }
+  const Duration sched_delay = SchedJitter();
 
   // The trace context rides ahead of the payload (see Envelope).
   const std::string wire_request = Envelope(request);
@@ -255,12 +247,11 @@ Status RpcTransport::Call(sim::SimNode* client, sim::SimNode* server,
   // Request path: client kernel -> client NIC -> wire -> server NIC ->
   // server CPU (dispatch + scheduling delay).
   Timestamp t = env_->clock()->Now();
-  t = client->cpu()->SubmitAt(t, 0, options_.client_overhead);
+  t = client->cpu()->SubmitAt(t, 0, cost::kRpcClientOverhead);
   t = client->nic()->SubmitAt(t, wire_request.size());
-  t += options_.wire_latency;
+  t += cost::kRpcWire;
   t = server->nic()->SubmitAt(t, wire_request.size());
-  t = server->cpu()->SubmitAt(t, 0,
-                              server->config().rpc_dispatch_cost + sched_delay);
+  t = server->cpu()->SubmitAt(t, 0, cost::kRpcDispatch + sched_delay);
   if (opts.deadline != 0 && t > opts.deadline) {
     // The caller gives up before the handler would even be dispatched, so
     // the handler never runs (no server-side effects for this case).
@@ -287,7 +278,7 @@ Status RpcTransport::Call(sim::SimNode* client, sim::SimNode* server,
   // Response path.
   Timestamp r = env_->clock()->Now();
   r = server->nic()->SubmitAt(r, resp.size());
-  r += options_.wire_latency;
+  r += cost::kRpcWire;
   r = client->nic()->SubmitAt(r, resp.size());
   if (opts.deadline != 0 && r > opts.deadline) {
     // Handler already ran — its side effects stand — but the caller stops

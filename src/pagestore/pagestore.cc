@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/coding.h"
+#include "common/cost_model.h"
 #include "common/logging.h"
 
 namespace vedb::pagestore {
@@ -150,7 +151,8 @@ Status PageStoreCluster::HandleShip(int shard, int replica_idx, Slice request,
   }
 
   // Records are persisted (SSD) before acking.
-  *done = rep->node->storage()->SubmitAt(start, total_bytes + 64 * count);
+  *done = rep->node->storage()->SubmitAt(
+      start, total_bytes + cost::kPageStoreMetaBytesPerRecord * count);
   {
     vedb::MutexLock lk(&rep->mu);
     InsertRecordsLocked(rep, records);
@@ -257,7 +259,7 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
   }
 
   // Page read I/O from local media.
-  rep->node->storage()->Access(options_.page_size);
+  rep->node->storage()->Access(cost::kPageReadBytes);
   uint64_t applied;
   Status result;
   {
@@ -277,7 +279,7 @@ Status PageStoreCluster::HandleReadPage(int shard, int replica_idx,
     }
   }
   if (applied > 0) {
-    rep->node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
+    rep->node->cpu()->Access(0, applied * cost::kPageStoreApplyPerRecord);
   }
   return result;
 }
@@ -300,12 +302,7 @@ Status PageStoreCluster::ReadPage(sim::SimNode* client, PageKey key,
     std::string resp;
     const std::string service =
         "ps.read_page." + std::to_string(s) + "." + std::to_string(r);
-    net::RpcCallOptions call_opts;
-    if (options_.read_attempt_deadline != 0) {
-      call_opts.deadline =
-          env_->clock()->Now() + options_.read_attempt_deadline;
-    }
-    last = rpc_->Call(client, node, service, Slice(req), &resp, call_opts);
+    last = rpc_->Call(client, node, service, Slice(req), &resp);
     if (last.ok()) {
       if (resp.size() < 8) return Status::Corruption("bad page response");
       if (image_lsn != nullptr) *image_lsn = DecodeFixed64(resp.data());
@@ -408,7 +405,7 @@ Status PageStoreCluster::ReadLocalPage(sim::SimNode* node, PageKey key,
   for (int r = 0; r < options_.replication; ++r) {
     ShardReplica* rep = shards_[s]->replicas[r].get();
     if (rep->node != node) continue;
-    node->storage()->Access(options_.page_size);
+    node->storage()->Access(cost::kPageReadBytes);
     uint64_t applied;
     Status result;
     {
@@ -423,7 +420,7 @@ Status PageStoreCluster::ReadLocalPage(sim::SimNode* node, PageKey key,
       }
     }
     if (applied > 0) {
-      node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
+      node->cpu()->Access(0, applied * cost::kPageStoreApplyPerRecord);
     }
     return result;
   }
@@ -508,7 +505,7 @@ void PageStoreCluster::TruncateBelow(uint64_t lsn) {
 void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {
   uint64_t tick = 0;
   while (!shutdown_.load()) {
-    env_->clock()->SleepFor(options_.background_period);
+    env_->clock()->SleepFor(kBackgroundPeriod);
     tick++;
     if (!node->alive()) continue;  // a dead box does no background work
     for (int s = 0; s < options_.num_shards; ++s) {
@@ -523,7 +520,7 @@ void PageStoreCluster::BackgroundLoop(sim::SimNode* node) {
           hole = rep->contiguous_seq < rep->max_seen_seq;
         }
         if (applied > 0) {
-          node->cpu()->Access(0, applied * options_.apply_cpu_per_record);
+          node->cpu()->Access(0, applied * cost::kPageStoreApplyPerRecord);
         }
         // Known holes are chased every tick; full anti-entropy (which also
         // finds records this replica never heard about, e.g. while it was

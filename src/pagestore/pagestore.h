@@ -62,18 +62,10 @@ class PageStoreCluster {
     int replication = 3;
     /// Acks required before a ship is considered durable (quorum).
     int write_quorum = 2;
-    /// Background apply/gossip cadence.
-    Duration background_period = 10 * kMillisecond;
-    /// CPU cost of applying one REDO record on a storage node.
-    Duration apply_cpu_per_record = 2 * kMicrosecond;
-    /// Page size used to charge read I/O.
-    uint64_t page_size = 16 * kKiB;
-    /// Per-replica attempt deadline for ReadPage RPCs (0 = none). Bounds
-    /// how long a slow replica can hold up the read before the failover
-    /// loop moves to the next copy; the reads are idempotent, so the
-    /// give-up-and-drop-response semantics of RpcCallOptions are safe.
-    Duration read_attempt_deadline = 0;
   };
+
+  /// Background apply/gossip cadence.
+  static constexpr Duration kBackgroundPeriod = 10 * kMillisecond;
 
   PageStoreCluster(sim::SimEnvironment* env, net::RpcTransport* rpc,
                    std::vector<sim::SimNode*> nodes, ApplyFn apply,
@@ -187,7 +179,7 @@ class PageStoreCluster {
       REQUIRES(rep->mu);
 
   /// Applies contiguous unapplied records; returns how many were applied.
-  /// The caller must charge the CPU cost (applied * apply_cpu_per_record)
+  /// The caller must charge the CPU cost (applied * cost::kPageStoreApplyPerRecord)
   /// after unlocking — never block under the lock.
   uint64_t ApplyContiguousLocked(ShardReplica* rep) REQUIRES(rep->mu);
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/coding.h"
+#include "common/cost_model.h"
 #include "common/logging.h"
 #include "engine/page.h"
 #include "query/pushdown.h"
@@ -15,7 +16,7 @@ namespace {
 /// bookkeeping cheap.
 void ChargeRows(ExecContext* ctx, uint64_t rows) {
   if (rows == 0 || ctx->engine == nullptr) return;
-  ctx->engine->node()->cpu()->Access(0, rows * ctx->cpu_per_row);
+  ctx->engine->node()->cpu()->Access(0, rows * cost::kEngineCpuPerRow);
 }
 }  // namespace
 
@@ -145,17 +146,17 @@ bool ScanNode::CostModelPrefersPushdown(ExecContext* ctx) const {
   ebp::ExtendedBufferPool* ebp = ctx->engine->ebp();
   const auto pages = table_->PageList();
   const uint64_t rows = table_->approximate_row_count();
-  double local = static_cast<double>(rows) * ctx->cpu_per_row;
+  double local = static_cast<double>(rows) * cost::kEngineCpuPerRow;
   uint64_t remote_pages = 0;
   for (engine::PageNo page_no : pages) {
     const uint64_t key = engine::PackPageKey(table_->space(), page_no);
     if (bp->IsResident(key)) {
-      local += ctx->cost_bp_hit;
+      local += cost::kPlanBpHit;
     } else if (ebp != nullptr && ebp->Contains(key)) {
-      local += ctx->cost_ebp_read;
+      local += cost::kPlanEbpRead;
       remote_pages++;
     } else {
-      local += ctx->cost_pagestore_read;
+      local += cost::kPlanPageStoreRead;
       remote_pages++;
     }
   }
@@ -164,13 +165,14 @@ bool ScanNode::CostModelPrefersPushdown(ExecContext* ctx) const {
   // storage copy), plus task dispatch overhead. Aggregated fragments return
   // tiny results; plain filters ship rows back (estimated selectivity).
   const double parallelism = 6.0;
-  double pushed = ctx->cost_pushdown_task_overhead * parallelism +
-                  static_cast<double>(pages.size()) *
-                      ctx->cost_pushdown_page / parallelism +
-                  static_cast<double>(rows) * (ctx->cpu_per_row / 4) /
+  double pushed = cost::kPlanPushdownTask * parallelism +
+                  static_cast<double>(pages.size()) * cost::kPlanPushdownPage /
+                      parallelism +
+                  static_cast<double>(rows) * cost::kPlanPushdownCpuPerRow /
                       parallelism;
   if (!has_agg_) {
-    pushed += static_cast<double>(rows) * 0.2 * 50;  // result transfer
+    // Assumed filter selectivity 0.2.
+    pushed += static_cast<double>(rows) * 0.2 * cost::kPlanRowTransfer;
   }
   return pushed < local;
 }
@@ -274,10 +276,8 @@ Result<std::vector<Row>> NestLoopJoinNode::Execute(ExecContext* ctx) {
   const uint64_t comparisons =
       static_cast<uint64_t>(left.size()) * right.size();
   if (ctx->engine != nullptr && comparisons > 0) {
-    // 1/8 of a row-cost per comparison: a compare is cheaper than a full
-    // row's processing.
     ctx->engine->node()->cpu()->Access(0,
-                                       comparisons * (ctx->cpu_per_row / 8));
+                                       comparisons * cost::kEngineJoinCompare);
   }
   std::vector<Row> out;
   for (const Row& lrow : left) {

@@ -49,19 +49,12 @@ struct ExecContext {
   /// implemented here): estimate the local plan from page residency
   /// (BP/EBP/PageStore) and compare against the storage-side estimate;
   /// overrides the row threshold when enabled.
+  /// Its estimates are the cost::kPlan* entries of common/cost_model.h.
   bool cost_based_pushdown = false;
-  /// Cost-model constants (virtual ns).
-  Duration cost_bp_hit = 3 * kMicrosecond;
-  Duration cost_ebp_read = 25 * kMicrosecond;
-  Duration cost_pagestore_read = 1100 * kMicrosecond;
-  Duration cost_pushdown_page = 10 * kMicrosecond;
-  Duration cost_pushdown_task_overhead = 60 * kMicrosecond;
 
   // Metrics for the cost-based decision.
   uint64_t cost_based_pushed = 0;
   uint64_t cost_based_kept_local = 0;
-  /// CPU cost per processed row on the DBEngine.
-  Duration cpu_per_row = 150;
 
   // Metrics filled during execution.
   uint64_t rows_scanned = 0;

@@ -232,9 +232,11 @@ Status PushdownRuntime::HandlePsExec(sim::SimNode* node, Slice request,
   uint64_t processed = 0;
   ExecutePages(fragment, images, &rows, &groups, &processed);
   // Local SSD reads per page, then executor CPU (incl. any catch-up apply).
-  Timestamp t = node->storage()->SubmitAt(start, images.size() * 16 * kKiB);
-  t = node->cpu()->SubmitAt(
-      t, 0, processed * options_.exec_cpu_per_row + applied_total * 2000);
+  Timestamp t =
+      node->storage()->SubmitAt(start, images.size() * cost::kPageReadBytes);
+  t = node->cpu()->SubmitAt(t, 0,
+                            processed * options_.exec_cpu_per_row +
+                                applied_total * cost::kPageStoreApplyPerRecord);
   *done = t;
   EncodeResponse(fragment, rows, groups, response);
   return Status::OK();

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "astore/server.h"
+#include "common/cost_model.h"
 #include "ebp/ebp.h"
 #include "net/rpc.h"
 #include "pagestore/pagestore.h"
@@ -26,7 +27,7 @@ class PushdownRuntime {
  public:
   struct Options {
     /// CPU cost per row processed by a storage-side executor.
-    Duration exec_cpu_per_row = 120;
+    Duration exec_cpu_per_row = cost::kPushdownCpuPerRow;
   };
 
   /// Deploys the storage-side executor: "a separate process containing the

@@ -1,5 +1,6 @@
 #include "sim/env.h"
 
+#include "common/cost_model.h"
 #include "sim/lock_order.h"
 
 namespace vedb::sim {
@@ -15,22 +16,22 @@ SimEnvironment::SimEnvironment(uint64_t seed) : seed_rng_(seed) {
 
 DeviceParams HardwareProfile::NvmeSsd(uint64_t seed) {
   DeviceParams p;
-  p.channels = 8;
-  p.base_latency = 70 * kMicrosecond;  // NVMe write into a blob service
-  p.ns_per_byte = 0.66;                // ~1.5 GB/s effective per box
-  p.jitter_mean = 25 * kMicrosecond;
-  p.spike_probability = 0.012;         // background GC / flush stalls
-  p.spike_latency = 2 * kMillisecond;
+  p.channels = cost::kSsdChannels;
+  p.base_latency = cost::kSsdBaseLatency;
+  p.ns_per_byte = cost::kSsdNsPerByte;
+  p.jitter_mean = cost::kSsdJitterMean;
+  p.spike_probability = cost::kSsdSpikeProbability;
+  p.spike_latency = cost::kSsdSpikeLatency;
   p.seed = seed;
   return p;
 }
 
 DeviceParams HardwareProfile::OptanePmem(uint64_t seed) {
   DeviceParams p;
-  p.channels = 6;             // iMC channels: concurrency beyond this queues
-  p.base_latency = 300;       // ~0.3us media latency
-  p.ns_per_byte = 0.45;       // ~2.2 GB/s sustained write per DIMM set
-  p.jitter_mean = 80;
+  p.channels = cost::kPmemChannels;
+  p.base_latency = cost::kPmemBaseLatency;
+  p.ns_per_byte = cost::kPmemNsPerByte;
+  p.jitter_mean = cost::kPmemJitterMean;
   p.spike_probability = 0.0;  // no scheduling layer in front of PMem
   p.spike_latency = 0;
   p.seed = seed;
@@ -50,9 +51,9 @@ SimNode::SimNode(VirtualClock* clock, std::string name,
                         .spike_latency = 0,
                         .seed = seed ^ 0x1}),
       nic_(clock, name_ + ".nic",
-           DeviceParams{.channels = config.nic_channels,
-                        .base_latency = config.nic_base_latency,
-                        .ns_per_byte = config.nic_ns_per_byte,
+           DeviceParams{.channels = cost::kNicChannels,
+                        .base_latency = cost::kNicBaseLatency,
+                        .ns_per_byte = cost::kNicNsPerByte,
                         .jitter_mean = 0,
                         .spike_probability = 0,
                         .spike_latency = 0,

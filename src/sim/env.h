@@ -19,22 +19,17 @@
 
 namespace vedb::sim {
 
-/// Hardware configuration of one simulated machine.
+/// Hardware configuration of one simulated machine. Every node's NIC is the
+/// same (common/cost_model.h).
 struct NodeConfig {
   /// CPU pool used for RPC handlers, REDO apply, push-down execution.
   int cpu_cores = 16;
-  /// Cost charged to the CPU pool for dispatching one RPC (kernel, thread
-  /// scheduling). One-sided RDMA ops never touch the CPU pool.
-  Duration rpc_dispatch_cost = 5 * kMicrosecond;
-  /// NIC processing units and wire speed.
-  int nic_channels = 4;
-  double nic_ns_per_byte = 0.32;  // 25 Gbps ~ 3.125 GB/s
-  Duration nic_base_latency = 600;
   /// Storage medium attached to this node (SSD or PMem parameters).
   DeviceParams storage;
 };
 
-/// Calibrated device parameter presets mirroring Table I of the paper.
+/// Device parameter presets for the media of Table I of the paper; the
+/// values are entries of common/cost_model.h.
 struct HardwareProfile {
   /// NVMe SSD behind a distributed blob service: high base latency, large
   /// queue depth, occasional scheduling/GC spikes.

@@ -42,7 +42,7 @@ struct ChaosCampaignOptions {
   size_t payload_bytes = 256;
 
   // Campaign script, in absolute virtual time from cluster birth. The
-  // defaults are tuned to the CM failure_timeout (200ms): the primary dies
+  // defaults are tuned to the CM kFailureTimeout (200ms): the primary dies
   // at 60ms, detection lands on the ~100ms standby tick, and the election
   // fires at ~300ms — after the partition around the high-id standby has
   // healed, so the low-id standby sees a majority and wins.

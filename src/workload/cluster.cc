@@ -24,9 +24,9 @@ VedbCluster::VedbCluster(const ClusterOptions& options)
   fabric_ = std::make_unique<net::RdmaFabric>(&env_);
 
   // SSD blob boxes (baseline LogStore substrate).
-  for (int i = 0; i < options_.blob_nodes; ++i) {
+  for (int i = 0; i < kBlobNodes; ++i) {
     sim::NodeConfig cfg;
-    cfg.cpu_cores = options_.storage_cores;
+    cfg.cpu_cores = kStorageCores;
     cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
     blob_nodes_.push_back(env_.AddNode("ssd-" + std::to_string(i), cfg));
   }
@@ -34,38 +34,22 @@ VedbCluster::VedbCluster(const ClusterOptions& options)
                                                    blob_nodes_,
                                                    options_.blob_store);
 
-  // AStore: CM (or a CM replication group) + PMem servers + EBP server
-  // agents. The single-CM layout keeps the historical node name "cm" and
-  // the same seed draws, so existing seeded runs stay byte-identical.
-  const int cm_count = options_.cm_replicas < 1 ? 1 : options_.cm_replicas;
-  for (int i = 0; i < cm_count; ++i) {
-    sim::NodeConfig cm_cfg;
-    cm_cfg.cpu_cores = options_.storage_cores;
-    cm_cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
-    const std::string name =
-        cm_count == 1 ? "cm" : "cm-" + std::to_string(i);
-    cm_nodes_.push_back(env_.AddNode(name, cm_cfg));
-    astore::ClusterManager::Options cm_opts = options_.cluster_manager;
-    cm_opts.node_id = static_cast<uint32_t>(i);
-    cms_.push_back(std::make_unique<astore::ClusterManager>(
-        &env_, rpc_.get(), cm_nodes_.back(), cm_opts));
-  }
-  if (cm_count > 1) {
-    std::vector<astore::CmPeer> peers;
-    for (int i = 0; i < cm_count; ++i) {
-      peers.push_back(
-          astore::CmPeer{static_cast<uint32_t>(i), cm_nodes_[i]});
-    }
-    for (auto& cm : cms_) cm->SetPeers(peers);
-  }
+  // AStore: a standalone CM + PMem servers + EBP server agents. (A CM
+  // replication group is built by the chaos driver, workload/chaos.cc.)
+  sim::NodeConfig cm_cfg;
+  cm_cfg.cpu_cores = kStorageCores;
+  cm_cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
+  cm_node_ = env_.AddNode("cm", cm_cfg);
+  cm_ = std::make_unique<astore::ClusterManager>(
+      &env_, rpc_.get(), cm_node_, astore::ClusterManager::Options{});
   for (int i = 0; i < options_.astore_nodes; ++i) {
     sim::NodeConfig cfg;
-    cfg.cpu_cores = options_.storage_cores;
+    cfg.cpu_cores = kStorageCores;
     cfg.storage = sim::HardwareProfile::OptanePmem(env_.NextSeed());
     sim::SimNode* node = env_.AddNode("pmem-" + std::to_string(i), cfg);
     astore_servers_.push_back(std::make_unique<astore::AStoreServer>(
         &env_, rpc_.get(), fabric_.get(), node, options_.astore_server));
-    for (auto& cm : cms_) cm->RegisterServer(astore_servers_.back().get());
+    cm_->RegisterServer(astore_servers_.back().get());
     ebp_agents_.push_back(std::make_unique<ebp::EbpServerAgent>(
         &env_, rpc_.get(), astore_servers_.back().get()));
   }
@@ -73,7 +57,7 @@ VedbCluster::VedbCluster(const ClusterOptions& options)
   // PageStore boxes.
   for (int i = 0; i < options_.pagestore_nodes; ++i) {
     sim::NodeConfig cfg;
-    cfg.cpu_cores = options_.storage_cores;
+    cfg.cpu_cores = kStorageCores;
     cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
     pagestore_nodes_.push_back(env_.AddNode("ps-" + std::to_string(i), cfg));
   }
@@ -87,7 +71,7 @@ VedbCluster::VedbCluster(const ClusterOptions& options)
 
   // DBEngine VM.
   sim::NodeConfig engine_cfg;
-  engine_cfg.cpu_cores = options_.engine_cores;
+  engine_cfg.cpu_cores = kEngineCores;
   engine_cfg.storage = sim::HardwareProfile::NvmeSsd(env_.NextSeed());
   engine_node_ = env_.AddNode("dbe", engine_cfg);
 
@@ -98,9 +82,8 @@ void VedbCluster::BuildEngine() {
   // Storage SDK clients. The log and the EBP use distinct client
   // identities so a recovering engine can tell their segments apart.
   astore_client_ = std::make_unique<astore::AStoreClient>(
-      &env_, rpc_.get(), fabric_.get(), cm_nodes_.front(), engine_node_,
+      &env_, rpc_.get(), fabric_.get(), cm_node_, engine_node_,
       /*client_id=*/1, options_.astore_client);
-  if (cm_nodes_.size() > 1) astore_client_->SetCmEndpoints(cm_nodes_);
   VEDB_CHECK(astore_client_->Connect().ok(), "astore connect failed");
 
   if (options_.use_astore_log) {
@@ -110,9 +93,8 @@ void VedbCluster::BuildEngine() {
                log.status().ToString().c_str());
     owned_log_ = std::move(*log);
   } else {
-    auto log = logstore::BlobLogStore::Create(&env_, blob_.get(),
-                                              engine_node_,
-                                              options_.blob_log);
+    auto log =
+        logstore::BlobLogStore::Create(&env_, blob_.get(), engine_node_);
     VEDB_CHECK(log.ok(), "log create failed: %s",
                log.status().ToString().c_str());
     owned_log_ = std::move(*log);
@@ -121,9 +103,8 @@ void VedbCluster::BuildEngine() {
 
   if (options_.enable_ebp) {
     ebp_astore_client_ = std::make_unique<astore::AStoreClient>(
-        &env_, rpc_.get(), fabric_.get(), cm_nodes_.front(), engine_node_,
+        &env_, rpc_.get(), fabric_.get(), cm_node_, engine_node_,
         /*client_id=*/2, EbpClientOptions(options_.astore_client));
-    if (cm_nodes_.size() > 1) ebp_astore_client_->SetCmEndpoints(cm_nodes_);
     VEDB_CHECK(ebp_astore_client_->Connect().ok(), "ebp connect failed");
     ebp_ = std::make_unique<ebp::ExtendedBufferPool>(
         &env_, ebp_astore_client_.get(), options_.ebp);
@@ -140,19 +121,13 @@ std::vector<astore::AStoreServer*> VedbCluster::astore_servers() {
   return out;
 }
 
-std::vector<astore::ClusterManager*> VedbCluster::cluster_managers() {
-  std::vector<astore::ClusterManager*> out;
-  for (auto& cm : cms_) out.push_back(cm.get());
-  return out;
-}
-
 void VedbCluster::StartBackground() {
   if (background_started_) return;
   background_ = std::make_unique<sim::ActorGroup>(env_.clock());
   for (auto& server : astore_servers_) {
     server->StartBackground(background_.get());
   }
-  for (auto& cm : cms_) cm->StartBackground(background_.get());
+  cm_->StartBackground(background_.get());
   pagestore_->StartBackground(background_.get());
   astore_client_->StartBackground(background_.get());
   if (ebp_ != nullptr) {
@@ -169,7 +144,7 @@ void VedbCluster::Shutdown() {
   // Flag everything first, then drain the CMs: a CM drain parks in virtual
   // time, and any loop not yet flagged would keep ticking through it.
   for (auto& server : astore_servers_) server->Shutdown();
-  for (auto& cm : cms_) cm->RequestShutdown();
+  cm_->RequestShutdown();
   pagestore_->Shutdown();
   astore_client_->Shutdown();
   if (ebp_ != nullptr) {
@@ -177,7 +152,7 @@ void VedbCluster::Shutdown() {
     ebp_->Shutdown();
   }
   engine_->Shutdown();
-  for (auto& cm : cms_) cm->Shutdown();
+  cm_->Shutdown();
   background_->JoinAll();
   background_.reset();
   background_started_ = false;
@@ -210,9 +185,8 @@ Status VedbCluster::CrashAndRecoverEngine(
   // headers), replay the durable log tail, rebuild indexes from storage,
   // and re-attach the surviving EBP pages.
   astore_client_ = std::make_unique<astore::AStoreClient>(
-      &env_, rpc_.get(), fabric_.get(), cm_nodes_.front(), engine_node_, 1,
+      &env_, rpc_.get(), fabric_.get(), cm_node_, engine_node_, 1,
       options_.astore_client);
-  if (cm_nodes_.size() > 1) astore_client_->SetCmEndpoints(cm_nodes_);
   VEDB_RETURN_IF_ERROR(astore_client_->Connect());
 
   std::vector<astore::LogRecord> tail;
@@ -225,9 +199,8 @@ Status VedbCluster::CrashAndRecoverEngine(
 
   if (options_.enable_ebp) {
     ebp_astore_client_ = std::make_unique<astore::AStoreClient>(
-        &env_, rpc_.get(), fabric_.get(), cm_nodes_.front(), engine_node_, 2,
+        &env_, rpc_.get(), fabric_.get(), cm_node_, engine_node_, 2,
         EbpClientOptions(options_.astore_client));
-    if (cm_nodes_.size() > 1) ebp_astore_client_->SetCmEndpoints(cm_nodes_);
     VEDB_RETURN_IF_ERROR(ebp_astore_client_->Connect());
     ebp_ = std::make_unique<ebp::ExtendedBufferPool>(
         &env_, ebp_astore_client_.get(), options_.ebp);

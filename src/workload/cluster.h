@@ -23,6 +23,12 @@
 
 namespace vedb::workload {
 
+/// Fixed topology (Table I: 3 data servers per store; DBEngine VM with
+/// 20-24 cores).
+inline constexpr int kBlobNodes = 3;
+inline constexpr int kEngineCores = 20;
+inline constexpr int kStorageCores = 32;
+
 struct ClusterOptions {
   uint64_t seed = 2023;
 
@@ -31,24 +37,13 @@ struct ClusterOptions {
   /// Extended buffer pool on/off.
   bool enable_ebp = false;
 
-  /// Topology (Table I: 3 data servers per store; DBEngine VM with 20-24
-  /// cores).
-  int blob_nodes = 3;
+  /// Topology (Table I: 3 data servers per store).
   int astore_nodes = 3;
-  /// Cluster-manager replication group size. 1 (the default) is the classic
-  /// single CM on a node named "cm" — byte-identical to historical runs.
-  /// With N > 1 the CMs live on "cm-0".."cm-N-1" (node ids 0..N-1, cm-0 the
-  /// initial primary) and the SDK clients get the full endpoint list.
-  int cm_replicas = 1;
   int pagestore_nodes = 3;
-  int engine_cores = 20;
-  int storage_cores = 32;
 
   astore::AStoreServer::Options astore_server;
-  astore::ClusterManager::Options cluster_manager;
   astore::AStoreClient::Options astore_client;
   logstore::AStoreLogStore::Options astore_log;
-  logstore::BlobLogStore::Options blob_log;
   blob::BlobStoreCluster::Options blob_store;
   pagestore::PageStoreCluster::Options pagestore;
   ebp::ExtendedBufferPool::Options ebp;
@@ -65,9 +60,8 @@ class VedbCluster {
   ebp::ExtendedBufferPool* ebp() { return ebp_.get(); }
   pagestore::PageStoreCluster* pagestore() { return pagestore_.get(); }
   logstore::LogStore* log() { return log_; }
-  /// The initial-primary CM (the only one when cm_replicas == 1).
-  astore::ClusterManager* cluster_manager() { return cms_.front().get(); }
-  std::vector<astore::ClusterManager*> cluster_managers();
+  /// The single cluster manager, on the node named "cm".
+  astore::ClusterManager* cluster_manager() { return cm_.get(); }
   astore::AStoreClient* astore_client() { return astore_client_.get(); }
   net::RpcTransport* rpc() { return rpc_.get(); }
   net::RdmaFabric* fabric() { return fabric_.get(); }
@@ -100,11 +94,11 @@ class VedbCluster {
 
   std::vector<sim::SimNode*> blob_nodes_;
   std::vector<sim::SimNode*> pagestore_nodes_;
-  std::vector<sim::SimNode*> cm_nodes_;  // [0] is the initial primary
+  sim::SimNode* cm_node_ = nullptr;
   sim::SimNode* engine_node_ = nullptr;
 
   std::unique_ptr<blob::BlobStoreCluster> blob_;
-  std::vector<std::unique_ptr<astore::ClusterManager>> cms_;
+  std::unique_ptr<astore::ClusterManager> cm_;
   std::vector<std::unique_ptr<astore::AStoreServer>> astore_servers_;
   std::vector<std::unique_ptr<ebp::EbpServerAgent>> ebp_agents_;
   std::unique_ptr<pagestore::PageStoreCluster> pagestore_;

@@ -12,7 +12,7 @@ Result<std::unique_ptr<ReadOnlyStandby>> ReadOnlyStandby::Attach(
   sim::SimNode* node;
   {
     sim::NodeConfig cfg;
-    cfg.cpu_cores = cluster->options().engine_cores;
+    cfg.cpu_cores = kEngineCores;
     cfg.storage =
         sim::HardwareProfile::NvmeSsd(cluster->env()->NextSeed());
     node = cluster->env()->AddNode("standby", cfg);

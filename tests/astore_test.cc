@@ -362,7 +362,7 @@ TEST_F(AStoreTest, ExpiredLeasesArePrunedByHealthSweep) {
   cm_->CheckHealthNow();
   EXPECT_EQ(cm_->LeaseCount(), before);  // nothing expired yet
 
-  env_.clock()->SleepFor(3 * kSecond);  // past lease_duration (2s)
+  env_.clock()->SleepFor(3 * kSecond);  // past kLeaseDuration (2s)
   cm_->CheckHealthNow();
   EXPECT_EQ(cm_->LeaseCount(), 0u);
 }

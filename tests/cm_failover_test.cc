@@ -75,10 +75,10 @@ struct CmGroup {
   }
 
   // Detection + election on one standby: first tick notices the leader is
-  // gone, the second (past failure_timeout) runs the election.
+  // gone, the second (past kFailureTimeout) runs the election.
   void DriveElection(ClusterManager* standby) {
     standby->TickForTest();
-    env.clock()->SleepFor(ClusterManager::Options{}.failure_timeout +
+    env.clock()->SleepFor(ClusterManager::kFailureTimeout +
                           10 * kMillisecond);
     standby->TickForTest();
   }

@@ -318,7 +318,7 @@ TEST_F(BlobIntegrityTest, WireReadNearUint64MaxIsRejected) {
 }
 
 TEST_F(BlobIntegrityTest, GroupReadNearUint64MaxIsRejected) {
-  auto group = BlobGroup::Create(cluster_.get(), client_, BlobGroup::Options{});
+  auto group = BlobGroup::Create(cluster_.get(), client_);
   ASSERT_TRUE(group.ok());
   ASSERT_TRUE((*group)->Append(Slice("0123456789"), nullptr).ok());
   std::string out;

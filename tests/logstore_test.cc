@@ -64,8 +64,7 @@ class LogStoreTest : public ::testing::Test {
   void TearDown() override { env_.clock()->UnregisterActor(); }
 
   std::unique_ptr<BlobLogStore> MakeBlobLog() {
-    BlobLogStore::Options opts;
-    auto res = BlobLogStore::Create(&env_, blob_.get(), dbe_, opts);
+    auto res = BlobLogStore::Create(&env_, blob_.get(), dbe_);
     EXPECT_TRUE(res.ok());
     return std::move(res).value();
   }
