@@ -98,6 +98,29 @@ TEST_F(EbpTest, NewerVersionReplacesOlder) {
   EXPECT_EQ(lsn, 2u);
 }
 
+TEST_F(EbpTest, ConcurrentOlderPutNeverReplacesNewerVersion) {
+  // A compaction re-put of an old image can race the flush of a newer one:
+  // both writes yield, and the older put installs last. The index must
+  // keep the newer LSN, and the losing frame must not stay live.
+  ExtendedBufferPool ebp(&env_, client_.get(), SmallOptions());
+  {
+    sim::ActorGroup group(env_.clock());
+    group.Spawn(
+        [&] { ASSERT_TRUE(ebp.PutPage(9, 2, Slice(Image('n'))).ok()); });
+    group.Spawn([&] {
+      env_.clock()->SleepFor(1);
+      ASSERT_TRUE(ebp.PutPage(9, 1, Slice(Image('o'))).ok());
+    });
+  }
+  std::string image;
+  uint64_t lsn = 0;
+  ASSERT_TRUE(ebp.GetPage(9, &image, &lsn).ok());
+  EXPECT_EQ(lsn, 2u);
+  EXPECT_TRUE(image == Image('n'));
+  EXPECT_EQ(ebp.stats().live_bytes,
+            PageFrame::kHeaderSize + Image('n').size());
+}
+
 TEST_F(EbpTest, CapacityEvictsLeastRecentlyUsed) {
   auto opts = SmallOptions();  // 2MiB capacity = ~127 16KiB pages
   ExtendedBufferPool ebp(&env_, client_.get(), opts);
