@@ -40,7 +40,9 @@ bool SegmentRing::DecodeHeader(Slice in, SegmentStatus* status,
   if (DecodeFixed32(in.data()) != kHeaderMagic) return false;
   const uint32_t stored_crc = UnmaskCrc(DecodeFixed32(in.data() + 16));
   if (stored_crc != Crc32c(0, in.data(), 16)) return false;
-  *status = static_cast<SegmentStatus>(DecodeFixed32(in.data() + 4));
+  const uint32_t raw_status = DecodeFixed32(in.data() + 4);
+  if (raw_status > static_cast<uint32_t>(SegmentStatus::kError)) return false;
+  *status = static_cast<SegmentStatus>(raw_status);
   *start_lsn = DecodeFixed64(in.data() + 8);
   return true;
 }

@@ -59,6 +59,13 @@ class SegmentRing {
   static constexpr uint64_t kHeaderSize = 64;
   static constexpr uint32_t kHeaderMagic = 0x5245444F;  // "REDO"
 
+  /// Header codec: magic, status, start LSN and a masked CRC of the first
+  /// 16 bytes. DecodeHeader rejects a short, unsealed or unknown-status
+  /// header; recovery reads it back from PMem.
+  static std::string EncodeHeader(SegmentStatus status, uint64_t start_lsn);
+  static bool DecodeHeader(Slice in, SegmentStatus* status,
+                           uint64_t* start_lsn);
+
   /// Pre-creates all ring segments ("all segments ... are pre-created by
   /// the storage SDK" upon DBEngine initialization).
   static Result<std::unique_ptr<SegmentRing>> Create(AStoreClient* client,
@@ -181,10 +188,6 @@ class SegmentRing {
  private:
   SegmentRing(AStoreClient* client, Options options,
               std::vector<SegmentHandlePtr> segments);
-
-  static std::string EncodeHeader(SegmentStatus status, uint64_t start_lsn);
-  static bool DecodeHeader(Slice in, SegmentStatus* status,
-                           uint64_t* start_lsn);
 
   /// Scans one segment's records, appending those with lsn >= from_lsn
   /// (and their physical locations when `locs` is non-null).
